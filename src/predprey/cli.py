@@ -26,7 +26,8 @@ from . import expressions as ex
 from .coupling import (Scenario, WindowCollapse, compute_bounds_report,
                        lipschitz_in_data_experiment, solve_coupled,
                        stability_in_controls_experiment)
-from .scenario_io import ScenarioError, load_scenario, write_run_artifacts
+from .scenario_io import (ScenarioError, load_scenario, write_bounds_json,
+                          write_run_artifacts)
 from .studies import hyperbolic_oracle_study, parabolic_duhamel_study
 
 log = logging.getLogger("predprey")
@@ -64,7 +65,9 @@ def cmd_bounds(args) -> int:
     out_dir = args.out or scenario.out_dir
     trace = solve_coupled(scenario)
     report = compute_bounds_report(trace, scenario)
-    path = _write_json(report.to_dict(), out_dir, "bounds.json")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "bounds.json")
+    write_bounds_json(report, path)
     log.info("wrote %s (all_passed=%s)", path, report.all_passed())
     return 0
 
@@ -96,8 +99,9 @@ def cmd_lipschitz(args) -> int:
             "max_lhs": float(max(rep.lhs)),
         }
     else:
-        rep = lipschitz_in_data_experiment(scenario, dw0=ex.Num(delta))
-        rep_half = lipschitz_in_data_experiment(scenario, dw0=ex.Num(delta / 2))
+        base = solve_coupled(scenario)
+        rep = lipschitz_in_data_experiment(scenario, dw0=ex.Num(delta), base=base)
+        rep_half = lipschitz_in_data_experiment(scenario, dw0=ex.Num(delta / 2), base=base)
         payload = _quotient_payload(rep, rep_half, delta)
     path = _write_json(payload, out_dir, "lipschitz.json")
     log.info("wrote %s", path)
@@ -121,8 +125,10 @@ def cmd_controls(args) -> int:
             "max_lhs": float(max(rep.lhs)),
         }
     else:
-        rep = stability_in_controls_experiment(scenario, b_tilde=shifted(delta))
-        rep_half = stability_in_controls_experiment(scenario, b_tilde=shifted(delta / 2))
+        base = solve_coupled(scenario)
+        rep = stability_in_controls_experiment(scenario, b_tilde=shifted(delta), base=base)
+        rep_half = stability_in_controls_experiment(scenario, b_tilde=shifted(delta / 2),
+                                                    base=base)
         payload = _quotient_payload(rep, rep_half, delta)
     path = _write_json(payload, out_dir, "controls.json")
     log.info("wrote %s", path)

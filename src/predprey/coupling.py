@@ -9,6 +9,14 @@ constant estimate and halved whenever an iteration fails to settle; the
 final iterate of each window seeds the next, making the stitched trace
 continuous at the joints by construction.
 
+Each Picard window is array-backed: an iterate is one (n_steps+1,
+*grid.shape) array per species.  Freezing the coefficients on it is one
+batched convolution for the velocity and one broadcast evaluation each for
+alpha and beta; the controls a and b do not depend on the iterate and are
+sampled once per window; the two solvers fetch their coefficients as stacks
+and march raw arrays; the Picard difference is one reduction over the time
+axis.  The windows are written into two arrays covering the whole horizon.
+
 The BoundsReport assembles every a-priori constant of the underlying
 estimates from scenario data (with empirically sampled constants standing
 in for the abstract velocity-hypothesis maps) and grades the measured
@@ -24,12 +32,14 @@ import numpy as np
 
 from . import expressions as ex
 from .grid import (DomainSpec, Field, Grid, build_grid, interior_variation,
-                   norm_l1, norm_linf, total_variation)
-from .parabolic import ParabolicProblem, Scheme, solve_parabolic
-from .series import (FuncFieldSeries, SampledFieldSeries, SampledVectorSeries,
-                     Trace)
+                   l1_norms, linf_norms, norm_l1, norm_linf, total_variation,
+                   total_variations)
+from .parabolic import ParabolicProblem, Scheme, coefficient_times, solve_parabolic
+from .series import (SampledFieldSeries, SampledVectorSeries, Trace,
+                     cumulative_left_riemann)
 from .transport import TransportProblem, solve_hyperbolic
-from .velocity import Kernel, HypothesisVReport, make_kernel, velocity, verify_hypothesis_v
+from .velocity import (Kernel, HypothesisVReport, drift_velocity, make_kernel,
+                       verify_hypothesis_v)
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +99,8 @@ class Scenario:
         return Scheme(self.parabolic_scheme, self.dt)
 
     def initial_fields(self, grid: Grid) -> tuple[Field, Field]:
-        return (sample_keyed(self.u0, "initial.u0", grid, 0.0),
-                sample_keyed(self.w0, "initial.w0", grid, 0.0))
+        return (Field(grid, sample_keyed(self.u0, "initial.u0", grid, [0.0])[0]),
+                Field(grid, sample_keyed(self.w0, "initial.w0", grid, [0.0])[0]))
 
 
 @dataclass(frozen=True)
@@ -107,33 +117,58 @@ class WindowLog:
 
 @dataclass(frozen=True)
 class CoupledTrace:
-    times: np.ndarray
-    u_fields: tuple[Field, ...]
-    w_fields: tuple[Field, ...]
-    u_l1: np.ndarray
-    u_linf: np.ndarray
-    u_tv: np.ndarray
-    w_l1: np.ndarray
-    w_linf: np.ndarray
-    w_tv: np.ndarray
+    """Both components at every step of the horizon, plus the window logs."""
+
+    u: Trace
+    w: Trace
     window_logs: tuple[WindowLog, ...]
 
     @property
+    def times(self) -> np.ndarray:
+        return self.u.times
+
+    @property
     def grid(self) -> Grid:
-        return self.u_fields[0].grid
+        return self.u.grid
 
-    def u_trace(self) -> Trace:
-        return Trace(self.times, self.u_fields, self.u_l1, self.u_linf, self.u_tv)
+    @property
+    def u_fields(self) -> tuple[Field, ...]:
+        return self.u.fields
 
-    def w_trace(self) -> Trace:
-        return Trace(self.times, self.w_fields, self.w_l1, self.w_linf, self.w_tv)
+    @property
+    def w_fields(self) -> tuple[Field, ...]:
+        return self.w.fields
+
+    @property
+    def u_l1(self) -> np.ndarray:
+        return self.u.l1
+
+    @property
+    def u_linf(self) -> np.ndarray:
+        return self.u.linf
+
+    @property
+    def u_tv(self) -> np.ndarray:
+        return self.u.tv
+
+    @property
+    def w_l1(self) -> np.ndarray:
+        return self.w.l1
+
+    @property
+    def w_linf(self) -> np.ndarray:
+        return self.w.linf
+
+    @property
+    def w_tv(self) -> np.ndarray:
+        return self.w.tv
 
 
-def sample_keyed(expr: ex.Expr, key: str, grid: Grid, t: float,
-                 u: Field | None = None, w: Field | None = None) -> Field:
-    """sample_field with the scenario key path prepended to evaluation errors."""
+def sample_keyed(expr: ex.Expr, key: str, grid: Grid, times,
+                 u: np.ndarray | None = None, w: np.ndarray | None = None) -> np.ndarray:
+    """sample_stack with the scenario key path prepended to evaluation errors."""
     try:
-        return ex.sample_field(expr, grid, t, u=u, w=w)
+        return ex.sample_stack(expr, grid, times, u=u, w=w)
     except ex.NonFiniteValue as exc:
         raise ex.NonFiniteValue(f"[{key}] {exc}") from None
 
@@ -142,28 +177,23 @@ def freeze_coefficients(u_trace: Trace, w_trace: Trace, scenario: Scenario,
                         kernel: Kernel):
     """Velocity/reaction series frozen at the iterate's snapshots.
 
-    The velocity is recomputed from every stored w snapshot; in between the
-    series interpolate linearly in time.
+    The velocity is computed from every stored w snapshot in one batched
+    convolution, alpha and beta in one broadcast evaluation each; in between
+    snapshots the series interpolate linearly in time.
     """
-    times = w_trace.times
-    c_fields = tuple(
-        velocity(w, kernel, scenario.kappa, scenario.attract) for w in w_trace.fields
-    )
-    A_fields = tuple(
-        sample_keyed(scenario.alpha, "coefficients.alpha", w.grid, t, w=w)
-        for t, w in zip(times, w_trace.fields)
-    )
-    B_fields = tuple(
-        sample_keyed(scenario.beta, "coefficients.beta", w.grid, t, u=u, w=w)
-        for t, u, w in zip(times, u_trace.fields, w_trace.fields)
-    )
-    return (SampledVectorSeries(times, c_fields),
-            SampledFieldSeries(times, A_fields),
-            SampledFieldSeries(times, B_fields))
+    grid, times = w_trace.grid, w_trace.times
+    c = drift_velocity(w_trace.values, kernel, scenario.kappa, scenario.attract)
+    A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w_trace.values)
+    B = sample_keyed(scenario.beta, "coefficients.beta", grid, times,
+                     u=u_trace.values, w=w_trace.values)
+    return (SampledVectorSeries(grid, times, c),
+            SampledFieldSeries(grid, times, A),
+            SampledFieldSeries(grid, times, B))
 
 
-def _constant_trace(times: np.ndarray, f: Field) -> Trace:
-    return Trace(times, tuple([f] * len(times)))
+def _sampled_control(expr: ex.Expr, key: str, grid: Grid,
+                     times: np.ndarray) -> SampledFieldSeries:
+    return SampledFieldSeries(grid, times, sample_keyed(expr, key, grid, times))
 
 
 def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
@@ -179,15 +209,20 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     n_steps = int(round(span / scenario.dt))
     times = t0 + scenario.dt * np.arange(n_steps + 1)
     if initial_iterate == "datum":
-        u_prev, w_prev = _constant_trace(times, u_init), _constant_trace(times, w_init)
+        u_start, w_start = u_init.values, w_init.values
     elif initial_iterate == "zero":
-        zero_u = Field(grid, np.zeros(grid.shape))
-        u_prev, w_prev = _constant_trace(times, zero_u), _constant_trace(times, zero_u)
+        u_start = w_start = np.zeros(grid.shape)
     else:
         raise ValueError(f"unknown initial iterate {initial_iterate!r}")
-    a_series = FuncFieldSeries(lambda t: sample_keyed(scenario.a, "coefficients.a", grid, t))
-    b_series = FuncFieldSeries(lambda t: sample_keyed(scenario.b, "coefficients.b", grid, t))
+    stacked = (len(times),) + grid.shape
+    u_prev = Trace(grid, times, np.broadcast_to(u_start, stacked))
+    w_prev = Trace(grid, times, np.broadcast_to(w_start, stacked))
     scheme = scenario.scheme()
+    # the controls do not depend on the iterate: sample them once, at the
+    # times each solver evaluates its source
+    a_series = _sampled_control(scenario.a, "coefficients.a", grid, times[:-1])
+    b_series = _sampled_control(scenario.b, "coefficients.b", grid,
+                                coefficient_times(times, scheme.kind))
     diffs: list[float] = []
     for iteration in range(1, max_iter + 1):
         c_ser, A_ser, B_ser = freeze_coefficients(u_prev, w_prev, scenario, kernel)
@@ -197,12 +232,8 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
         w_next = solve_parabolic(
             ParabolicProblem(grid, scenario.mu, B_ser, b_series, w_init), span, scheme, t0
         )
-        diff = max(
-            norm_l1(Field(grid, un.values - up.values))
-            + norm_l1(Field(grid, wn.values - wp.values))
-            for un, up, wn, wp in zip(u_next.fields, u_prev.fields,
-                                      w_next.fields, w_prev.fields)
-        )
+        diff = float(np.max(l1_norms(u_next.values - u_prev.values, grid)
+                            + l1_norms(w_next.values - w_prev.values, grid)))
         diffs.append(diff)
         log.debug("window [%g, %g] iteration %d diff %.3e", t0, t1, iteration, diff)
         u_prev, w_prev = u_next, w_next
@@ -261,30 +292,34 @@ class ContractionData:
     w0_tv: float
 
 
-def _cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(values[:-1] * np.diff(times))
-    return out
-
-
 def _safe_exp(x: np.ndarray) -> np.ndarray:
     # exponent capped at 700: keeps huge-but-finite bound values JSON-safe;
     # the capped value is still an enormous valid comparison threshold
     return np.exp(np.minimum(x, 700.0))
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _saturate(x: np.ndarray) -> np.ndarray:
+    """Products of capped exponentials can still overflow: hold them at the
+    largest float, which keeps them finite and JSON-safe.  Call under
+    np.errstate(over="ignore")."""
+    return np.minimum(x, _FLOAT_MAX)
+
+
 def _contraction_data(scenario: Scenario, grid: Grid, times: np.ndarray) -> ContractionData:
-    a_fields = [sample_keyed(scenario.a, "coefficients.a", grid, t) for t in times]
-    b_fields = [sample_keyed(scenario.b, "coefficients.b", grid, t) for t in times]
+    a = sample_keyed(scenario.a, "coefficients.a", grid, times)
+    b = sample_keyed(scenario.b, "coefficients.b", grid, times)
     u0f, w0f = scenario.initial_fields(grid)
     return ContractionData(
         times=times,
-        int_b_l1=_cumulative_left_riemann(np.array([norm_l1(f) for f in b_fields]), times),
-        int_b_sup=_cumulative_left_riemann(np.array([norm_linf(f) for f in b_fields]), times),
-        int_b_tv=_cumulative_left_riemann(np.array([total_variation(f) for f in b_fields]), times),
-        int_a_l1=_cumulative_left_riemann(np.array([norm_l1(f) for f in a_fields]), times),
-        int_a_sup=_cumulative_left_riemann(np.array([norm_linf(f) for f in a_fields]), times),
-        int_a_tv=_cumulative_left_riemann(np.array([total_variation(f) for f in a_fields]), times),
+        int_b_l1=cumulative_left_riemann(l1_norms(b, grid), times),
+        int_b_sup=cumulative_left_riemann(linf_norms(b, grid), times),
+        int_b_tv=cumulative_left_riemann(total_variations(b, grid), times),
+        int_a_l1=cumulative_left_riemann(l1_norms(a, grid), times),
+        int_a_sup=cumulative_left_riemann(linf_norms(a, grid), times),
+        int_a_tv=cumulative_left_riemann(total_variations(a, grid), times),
         u0_l1=norm_l1(u0f), u0_sup=norm_linf(u0f), u0_tv=total_variation(u0f),
         w0_l1=norm_l1(w0f), w0_sup=norm_linf(w0f), w0_tv=total_variation(w0f),
     )
@@ -308,18 +343,19 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
                         c_v: float, tv_par: float, tv_hyp: float) -> IterationConstants:
     t = data.times - data.times[0]
     ka, kb = scenario.k_alpha, scenario.k_beta
-    c_w1 = _safe_exp(kb * t) * (data.w0_l1 + data.int_b_l1)
-    c_winf = _safe_exp(kb * t) * (data.w0_sup + data.int_b_sup)
-    c_wtv = data.w0_tv + data.int_b_tv + tv_par * np.sqrt(t) * kb * c_w1
-    u_rate = ka * t * (1.0 + c_winf)
-    c_u1 = (data.u0_l1 + data.int_a_l1) * _safe_exp(u_rate)
-    c_uinf = (data.u0_sup + data.int_a_sup) * _safe_exp(u_rate + k_v * t * c_w1)
-    c_utv = (_safe_exp(u_rate + k_v * t * c_w1)
-             * (data.u0_tv + tv_hyp * data.u0_sup + data.int_a_tv)
-             + c_uinf * (ka * t * (1.0 + c_winf + c_wtv) + t * c_v * c_w1))
-    c_uw = (kb * _safe_exp(t * kb) * c_winf
-            + c_u1 * c_v + c_utv
-            + ka * _safe_exp(u_rate) * (data.u0_sup + data.int_a_sup))
+    with np.errstate(over="ignore"):
+        c_w1 = _saturate(_safe_exp(kb * t) * (data.w0_l1 + data.int_b_l1))
+        c_winf = _saturate(_safe_exp(kb * t) * (data.w0_sup + data.int_b_sup))
+        c_wtv = _saturate(data.w0_tv + data.int_b_tv + tv_par * np.sqrt(t) * kb * c_w1)
+        u_rate = ka * t * (1.0 + c_winf)
+        c_u1 = _saturate((data.u0_l1 + data.int_a_l1) * _safe_exp(u_rate))
+        c_uinf = _saturate((data.u0_sup + data.int_a_sup) * _safe_exp(u_rate + k_v * t * c_w1))
+        c_utv = _saturate(_safe_exp(u_rate + k_v * t * c_w1)
+                          * (data.u0_tv + tv_hyp * data.u0_sup + data.int_a_tv)
+                          + c_uinf * (ka * t * (1.0 + c_winf + c_wtv) + t * c_v * c_w1))
+        c_uw = _saturate(kb * _safe_exp(t * kb) * c_winf
+                         + c_u1 * c_v + c_utv
+                         + ka * _safe_exp(u_rate) * (data.u0_sup + data.int_a_sup))
     return IterationConstants(data.times, c_w1, c_winf, c_wtv, c_u1, c_uinf, c_utv, c_uw)
 
 
@@ -334,7 +370,8 @@ def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> float:
     data = _contraction_data(scenario, grid, times)
     consts = iteration_constants(scenario, data, report.k_v, report.c_v,
                                  TV_CONST_PARABOLIC, TV_CONST_HYPERBOLIC)
-    ok = consts.c_uw * (times - times[0]) < 0.5
+    with np.errstate(over="ignore"):
+        ok = consts.c_uw * (times - times[0]) < 0.5
     largest = times[np.nonzero(ok)[0][-1]] if np.any(ok) else 0.0
     window = max(largest, 4 * scenario.dt)
     return min(window, scenario.horizon)
@@ -352,8 +389,10 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> Coupled
     window = initial_window(scenario, grid, kernel)
     window_steps = max(4, int(round(window / scenario.dt)))
     total_steps = int(round(scenario.horizon / scenario.dt))
-    times_all = [0.0]
-    u_all, w_all = [u_cur], [w_cur]
+    times_all = np.zeros(total_steps + 1)
+    u_all = np.empty((total_steps + 1,) + grid.shape)
+    w_all = np.empty_like(u_all)
+    u_all[0], w_all[0] = u_cur.values, w_cur.values
     logs: list[WindowLog] = []
     step = 0
     while step < total_steps:
@@ -375,19 +414,14 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> Coupled
             log.info("halving window to %d steps after failed contraction", window_steps)
             continue
         logs.append(wlog)
-        times_all.extend(u_tr.times[1:])
-        u_all.extend(u_tr.fields[1:])
-        w_all.extend(w_tr.fields[1:])
+        rows = slice(step + 1, step + take + 1)
+        times_all[rows] = u_tr.times[1:]
+        u_all[rows] = u_tr.values[1:]
+        w_all[rows] = w_tr.values[1:]
         u_cur, w_cur = u_tr.final(), w_tr.final()
         step += take
-    u_trace = Trace(np.array(times_all), tuple(u_all))
-    w_trace = Trace(np.array(times_all), tuple(w_all))
-    return CoupledTrace(
-        times=u_trace.times, u_fields=u_trace.fields, w_fields=w_trace.fields,
-        u_l1=u_trace.l1, u_linf=u_trace.linf, u_tv=u_trace.tv,
-        w_l1=w_trace.l1, w_linf=w_trace.linf, w_tv=w_trace.tv,
-        window_logs=tuple(logs),
-    )
+    return CoupledTrace(Trace(grid, times_all, u_all), Trace(grid, times_all, w_all),
+                        tuple(logs))
 
 
 def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
@@ -400,10 +434,10 @@ def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
     rng = np.random.default_rng(scenario.seed + 1)
     grid = trace.grid
     mesh = grid.centers()
-    w_lo = min(float(np.min(w.values)) for w in trace.w_fields) - 0.1
-    w_hi = max(float(np.max(w.values)) for w in trace.w_fields) + 0.1
-    u_lo = min(float(np.min(u.values)) for u in trace.u_fields) - 0.1
-    u_hi = max(float(np.max(u.values)) for u in trace.u_fields) + 0.1
+    w_lo = float(np.min(trace.w.values)) - 0.1
+    w_hi = float(np.max(trace.w.values)) + 0.1
+    u_lo = float(np.min(trace.u.values)) - 0.1
+    u_hi = float(np.max(trace.u.values)) + 0.1
     t_hi = float(trace.times[-1])
     k_alpha = k_beta = 0.0
     for _ in range(n_samples):
@@ -442,7 +476,7 @@ def alpha_variation_quotient(scenario: Scenario, trace: CoupledTrace) -> float:
     worst = 0.0
     stride = max(1, len(trace.times) // 16)
     for i in range(0, len(trace.times), stride):
-        t, w = trace.times[i], trace.w_fields[i]
+        t, w = trace.times[i], Field(trace.grid, trace.w.values[i])
         A = ex.sample_field(scenario.alpha, trace.grid, t, w=w)
         admissible = scenario.k_alpha * (1.0 + norm_linf(w) + interior_variation(w))
         worst = max(worst, interior_variation(A) / admissible)
@@ -522,9 +556,19 @@ class BoundsReport:
         }
 
 
-def _check(name: str, lhs: np.ndarray, rhs: np.ndarray,
+def _check(name: str, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
            rel_slack: float = 1e-6) -> InequalityCheck:
-    ok = bool(np.all(lhs <= rhs * (1 + rel_slack) + 1e-12))
+    """Grade lhs <= rhs.  An rhs saturated at the largest float holds
+    vacuously; each check with such entries logs a warning naming the first
+    saturated time, so the vacuous bound stays visible."""
+    with np.errstate(over="ignore"):
+        rhs = _saturate(rhs)
+        ok = bool(np.all(lhs <= rhs * (1 + rel_slack) + 1e-12))
+    saturated = np.flatnonzero(rhs == _FLOAT_MAX)
+    if saturated.size:
+        log.warning("check %s: rhs saturated at the largest float from t=%.17g on "
+                    "(%d of %d times); the bound is vacuous there",
+                    name, times[saturated[0]], saturated.size, len(rhs))
     return InequalityCheck(name, [float(v) for v in lhs], [float(v) for v in rhs],
                            ok, float(np.min(rhs - lhs)))
 
@@ -542,30 +586,32 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
 
     grid = trace.grid
     kernel = make_kernel(scenario.ell, grid)
-    w_samples = tuple(trace.w_fields[:: max(1, len(trace.w_fields) // 12)])
+    w_samples = tuple(Field(grid, w) for w in trace.w.values[:: max(1, len(trace.times) // 12)])
     vel_report = estimate_velocity_constants(scenario, grid, kernel, w_samples)
     k_v, c_v = vel_report.k_v, vel_report.c_v
     data = _contraction_data(scenario, grid, trace.times)
     consts = iteration_constants(scenario, data, k_v, c_v,
                                  TV_CONST_PARABOLIC, TV_CONST_HYPERBOLIC)
-    t = trace.times - trace.times[0]
+    times = trace.times
+    t = times - times[0]
     c_thm = max(scenario.k_alpha, scenario.k_beta, k_v)
-    rhs_w_l1 = _safe_exp(c_thm * t) * (data.w0_l1 + data.int_b_l1)
-    rhs_w_sup = _safe_exp(c_thm * t) * (data.w0_sup + data.int_b_sup)
-    c_w = np.maximum(rhs_w_l1, rhs_w_sup)
-    rhs_u_l1 = (data.u0_l1 + data.int_a_l1) * _safe_exp(c_thm * t * (1.0 + c_w))
-    rhs_u_sup = (data.u0_sup + data.int_a_sup) * _safe_exp(c_thm * t * (1.0 + 2.0 * c_w))
+    with np.errstate(over="ignore"):
+        rhs_w_l1 = _safe_exp(c_thm * t) * (data.w0_l1 + data.int_b_l1)
+        rhs_w_sup = _safe_exp(c_thm * t) * (data.w0_sup + data.int_b_sup)
+        c_w = np.maximum(rhs_w_l1, rhs_w_sup)
+        rhs_u_l1 = (data.u0_l1 + data.int_a_l1) * _safe_exp(c_thm * t * (1.0 + c_w))
+        rhs_u_sup = (data.u0_sup + data.int_a_sup) * _safe_exp(c_thm * t * (1.0 + 2.0 * c_w))
     checks = (
-        _check("w_l1_apriori", trace.w_l1, rhs_w_l1),
-        _check("w_linf_apriori", trace.w_linf, rhs_w_sup),
-        _check("u_l1_apriori", trace.u_l1, rhs_u_l1),
-        _check("u_linf_apriori", trace.u_linf, rhs_u_sup),
-        _check("w_tv_iteration", trace.w_tv, consts.c_wtv),
-        _check("u_tv_iteration", trace.u_tv, consts.c_utv),
-        _check("w_l1_iteration", trace.w_l1, consts.c_w1),
-        _check("w_linf_iteration", trace.w_linf, consts.c_winf),
-        _check("u_l1_iteration", trace.u_l1, consts.c_u1),
-        _check("u_linf_iteration", trace.u_linf, consts.c_uinf),
+        _check("w_l1_apriori", times, trace.w_l1, rhs_w_l1),
+        _check("w_linf_apriori", times, trace.w_linf, rhs_w_sup),
+        _check("u_l1_apriori", times, trace.u_l1, rhs_u_l1),
+        _check("u_linf_apriori", times, trace.u_linf, rhs_u_sup),
+        _check("w_tv_iteration", times, trace.w_tv, consts.c_wtv),
+        _check("u_tv_iteration", times, trace.u_tv, consts.c_utv),
+        _check("w_l1_iteration", times, trace.w_l1, consts.c_w1),
+        _check("w_linf_iteration", times, trace.w_linf, consts.c_winf),
+        _check("u_l1_iteration", times, trace.u_l1, consts.c_u1),
+        _check("u_linf_iteration", times, trace.u_linf, consts.c_uinf),
     )
     k_alpha_emp, k_beta_emp = estimate_coefficient_lipschitz(scenario, trace)
     alpha_tv_q = alpha_variation_quotient(scenario, trace)
@@ -603,8 +649,8 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
         window_size=float(window_size),
         tv_const_parabolic=TV_CONST_PARABOLIC,
         tv_const_hyperbolic=TV_CONST_HYPERBOLIC,
-        positivity_min_u=float(min(np.min(u.values) for u in trace.u_fields)),
-        positivity_min_w=float(min(np.min(w.values) for w in trace.w_fields)),
+        positivity_min_u=float(np.min(trace.u.values)),
+        positivity_min_w=float(np.min(trace.w.values)),
     )
 
 
@@ -623,22 +669,23 @@ class ExperimentReport:
 
 
 def _trace_distance(a: CoupledTrace, b: CoupledTrace) -> np.ndarray:
-    grid = a.grid
-    return np.array([
-        norm_l1(Field(grid, ua.values - ub.values)) + norm_l1(Field(grid, wa.values - wb.values))
-        for ua, ub, wa, wb in zip(a.u_fields, b.u_fields, a.w_fields, b.w_fields)
-    ])
+    return (l1_norms(a.u.values - b.u.values, a.grid)
+            + l1_norms(a.w.values - b.w.values, a.grid))
 
 
 def lipschitz_in_data_experiment(scenario: Scenario, du0: ex.Expr | None = None,
-                                 dw0: ex.Expr | None = None) -> ExperimentReport:
+                                 dw0: ex.Expr | None = None,
+                                 base: CoupledTrace | None = None) -> ExperimentReport:
     """Perturb the initial data and measure the solution response.
 
     The quotient LHS / (L1 size of the perturbation) should stay bounded and
     stable under halving the perturbation (Lipschitz, not superlinear).
+    ``base`` is the solve of the unperturbed scenario, when the caller
+    already has it.
     """
     grid = scenario.grid()
-    base = solve_coupled(scenario)
+    if base is None:
+        base = solve_coupled(scenario)
     pert = scenario
     delta = 0.0
     if du0 is not None:
@@ -655,14 +702,17 @@ def lipschitz_in_data_experiment(scenario: Scenario, du0: ex.Expr | None = None,
 
 
 def stability_in_controls_experiment(scenario: Scenario, a_tilde: ex.Expr | None = None,
-                                     b_tilde: ex.Expr | None = None) -> ExperimentReport:
+                                     b_tilde: ex.Expr | None = None,
+                                     base: CoupledTrace | None = None) -> ExperimentReport:
     """Replace the controls and measure the solution response.
 
     Denominator: cumulative L1 norm (time x space) of the control change up
-    to each output time.
+    to each output time.  ``base`` is the solve of the unchanged scenario,
+    when the caller already has it.
     """
     grid = scenario.grid()
-    base = solve_coupled(scenario)
+    if base is None:
+        base = solve_coupled(scenario)
     pert = scenario
     if a_tilde is not None:
         pert = replace(pert, a=a_tilde)
@@ -671,16 +721,14 @@ def stability_in_controls_experiment(scenario: Scenario, a_tilde: ex.Expr | None
     other = solve_coupled(pert)
     lhs = _trace_distance(base, other)
     times = base.times
-    da = np.zeros(len(times))
-    db = np.zeros(len(times))
-    for i, t in enumerate(times):
-        if a_tilde is not None:
-            da[i] = norm_l1(Field(grid, ex.sample_field(scenario.a, grid, t).values
-                                  - ex.sample_field(a_tilde, grid, t).values))
-        if b_tilde is not None:
-            db[i] = norm_l1(Field(grid, ex.sample_field(scenario.b, grid, t).values
-                                  - ex.sample_field(b_tilde, grid, t).values))
-    denom = _cumulative_left_riemann(da + db, times)
+    def change(old: ex.Expr, new: ex.Expr | None) -> np.ndarray:
+        if new is None:
+            return np.zeros(len(times))
+        return l1_norms(ex.sample_stack(old, grid, times)
+                        - ex.sample_stack(new, grid, times), grid)
+
+    denom = cumulative_left_riemann(change(scenario.a, a_tilde) + change(scenario.b, b_tilde),
+                                    times)
     quotients = np.where(denom > 0, lhs / np.where(denom > 0, denom, 1.0), 0.0)
     return ExperimentReport(times, lhs, denom, quotients)
 
@@ -696,7 +744,4 @@ class PositivityReport:
 
 def positivity_audit(trace: CoupledTrace) -> PositivityReport:
     """Minimum of both components; a measurement, never a gate."""
-    return PositivityReport(
-        float(min(np.min(u.values) for u in trace.u_fields)),
-        float(min(np.min(w.values) for w in trace.w_fields)),
-    )
+    return PositivityReport(float(np.min(trace.u.values)), float(np.min(trace.w.values)))

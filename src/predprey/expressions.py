@@ -339,23 +339,41 @@ def evaluate(expr: Expr, env: Mapping[str, object]):
     return result
 
 
-def sample_field(expr: Expr, grid: Grid, t: float, u: Field | None = None,
-                 w: Field | None = None) -> Field:
-    """Evaluate the expression at every cell center at time t."""
-    env: dict[str, object] = {"t": float(t)}
+def sample_stack(expr: Expr, grid: Grid, times, u: np.ndarray | None = None,
+                 w: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the expression at every cell center for each of ``times``.
+
+    One broadcast evaluation: ``t`` enters as a column, ``u``/``w`` as stacks
+    of shape (len(times), *grid.shape), which is also the shape of the
+    returned read-only array.  A non-finite value raises NonFiniteValue
+    naming the first offending time and cell.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    shape = (len(times),) + grid.shape
+    env: dict[str, object] = {"t": times.reshape((-1,) + (1,) * grid.dim)}
     mesh = grid.centers()
     env["x"] = mesh[0]
     if grid.dim == 2:
         env["y"] = mesh[1]
     if u is not None:
-        env["u"] = u.values
+        env["u"] = u
     if w is not None:
-        env["w"] = w.values
-    try:
-        result = evaluate(expr, env)
-    except NonFiniteValue as exc:
-        match = re.search(r"flat index \[(\d+)", str(exc))
-        cell = np.unravel_index(int(match.group(1)), grid.shape) if match else "?"
-        raise NonFiniteValue(f"{exc} -> cell index {cell}") from None
-    values = np.broadcast_to(np.asarray(result, dtype=float), grid.shape).copy()
-    return Field(grid, values)
+        env["w"] = w
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(np.asarray(_eval(expr, env), dtype=float), shape)
+    if not np.all(np.isfinite(values)):
+        k, *cell = np.argwhere(~np.isfinite(values))[0].tolist()
+        raise NonFiniteValue(
+            f"expression '{to_source(expr)}' evaluated to a non-finite value "
+            f"at t={times[k]!r} -> cell index {tuple(cell)}"
+        )
+    return values
+
+
+def sample_field(expr: Expr, grid: Grid, t: float, u: Field | None = None,
+                 w: Field | None = None) -> Field:
+    """Evaluate the expression at every cell center at time t."""
+    values = sample_stack(expr, grid, [t],
+                          u=None if u is None else u.values[None],
+                          w=None if w is None else w.values[None])
+    return Field(grid, values[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +69,16 @@ class Grid:
     def total_cells(self) -> int:
         return int(np.prod(self.n_cells))
 
+    @cached_property
+    def _mesh(self) -> tuple[np.ndarray, ...]:
+        mesh = tuple(np.meshgrid(*self.axis_centers, indexing="ij"))
+        for m in mesh:
+            m.setflags(write=False)
+        return mesh
+
     def centers(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of shape ``self.shape``, one per axis."""
-        return np.meshgrid(*self.axis_centers, indexing="ij")
+        """Coordinate arrays of shape ``self.shape``, one per axis (read-only)."""
+        return self._mesh
 
     def center_points(self) -> np.ndarray:
         """All cell centers as an (total_cells, dim) array, C order."""
@@ -108,13 +116,9 @@ class Field:
         vals = np.ascontiguousarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise GridError(f"field shape {vals.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("field contains non-finite values")
+        require_finite(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def like(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,7 @@ class VectorField:
         expected = (self.grid.dim,) + self.grid.shape
         if comps.shape != expected:
             raise GridError(f"vector shape {comps.shape} != expected {expected}")
-        if not np.all(np.isfinite(comps)):
-            raise GridError("vector field contains non-finite values")
+        require_finite(comps, "vector field")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
@@ -146,35 +149,63 @@ def full(grid: Grid, value: float) -> Field:
     return Field(grid, np.full(grid.shape, float(value)))
 
 
-def zero_vector(grid: Grid) -> VectorField:
-    return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
+def require_finite(values: np.ndarray, what: str = "field") -> None:
+    """Raise GridError when grid data holds inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise GridError(f"{what} contains non-finite values")
 
 
-def norm_l1(f: Field) -> float:
-    """Cell-volume weighted sum of |f|; discrete L1(Omega) norm."""
-    return float(np.sum(np.abs(f.values)) * f.grid.cell_volume)
+# The stack norms below take one field of shape grid.shape or a stack of
+# shape (n, *grid.shape) and reduce over the grid axes only.  Each field's
+# cells are reduced as one contiguous run, so a stack gives bit for bit the
+# values of its fields taken one at a time.
+
+def _per_field(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Each field's cells on one trailing axis."""
+    return values.reshape(values.shape[:values.ndim - grid.dim] + (-1,))
 
 
-def norm_linf(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
+def l1_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Cell-volume weighted sum of |f| per field of a stack."""
+    return np.sum(np.abs(_per_field(values, grid)), axis=-1) * grid.cell_volume
 
 
-def total_variation(f: Field) -> float:
-    """Discrete total variation with jumps to the exterior value 0.
+def linf_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.max(np.abs(_per_field(values, grid)), axis=-1)
+
+
+def total_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete total variation per field of a stack, jumps to the exterior 0.
 
     1D: sum of neighbor jumps plus the two boundary jumps |f_1|, |f_N|.
     2D: axis-direction jumps weighted by the transverse cell length, plus
     the boundary jumps to zero on each side, consistent with extending the
     field by 0 outside the domain.
     """
-    v = f.values
-    if f.grid.dim == 1:
-        interior = np.sum(np.abs(np.diff(v)))
-        return float(interior + abs(v[0]) + abs(v[-1]))
-    dx, dy = f.grid.dx
-    tv_x = np.sum(np.abs(np.diff(v, axis=0))) + np.sum(np.abs(v[0, :])) + np.sum(np.abs(v[-1, :]))
-    tv_y = np.sum(np.abs(np.diff(v, axis=1))) + np.sum(np.abs(v[:, 0])) + np.sum(np.abs(v[:, -1]))
-    return float(tv_x * dy + tv_y * dx)
+    v = values
+    if grid.dim == 1:
+        interior = np.sum(np.abs(np.diff(v, axis=-1)), axis=-1)
+        return interior + np.abs(v[..., 0]) + np.abs(v[..., -1])
+    dx, dy = grid.dx
+    tv_x = (np.sum(np.abs(_per_field(np.diff(v, axis=-2), grid)), axis=-1)
+            + np.sum(np.abs(v[..., 0, :]), axis=-1) + np.sum(np.abs(v[..., -1, :]), axis=-1))
+    tv_y = (np.sum(np.abs(_per_field(np.diff(v, axis=-1), grid)), axis=-1)
+            + np.sum(np.abs(v[..., :, 0]), axis=-1) + np.sum(np.abs(v[..., :, -1]), axis=-1))
+    return tv_x * dy + tv_y * dx
+
+
+def norm_l1(f: Field) -> float:
+    """Cell-volume weighted sum of |f|; discrete L1(Omega) norm."""
+    return float(l1_norms(f.values, f.grid))
+
+
+def norm_linf(f: Field) -> float:
+    return float(linf_norms(f.values, f.grid))
+
+
+def total_variation(f: Field) -> float:
+    """Discrete total variation with jumps to the exterior value 0 (see total_variations)."""
+    return float(total_variations(f.values, f.grid))
 
 
 def interior_variation(f: Field) -> float:
@@ -228,19 +259,15 @@ def interp_field(f: Field, points: np.ndarray) -> np.ndarray:
     return interp_values(f.grid, f.values, points)
 
 
-def interp_vector(vf: VectorField, points: np.ndarray) -> np.ndarray:
-    """Interpolate every component; returns (m, dim)."""
-    return np.stack(
-        [interp_values(vf.grid, vf.components[k], points) for k in range(vf.grid.dim)],
-        axis=-1,
-    )
-
-
 def gradient_components(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Per-axis derivative by central differences, one-sided at the boundary."""
-    if grid.dim == 1:
-        return [np.gradient(values, grid.dx[0], edge_order=2)]
-    return list(np.gradient(values, *grid.dx, edge_order=2))
+    """Per-axis derivative by central differences, one-sided at the boundary.
+
+    ``values`` is one field or a stack (n, *grid.shape); the grid axes are
+    the trailing ones.
+    """
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    grads = np.gradient(values, *grid.dx, axis=axes, edge_order=2)
+    return [grads] if grid.dim == 1 else list(grads)
 
 
 def divergence(vf: VectorField) -> Field:

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-from .grid import Field, Grid, norm_l1, norm_linf, total_variation
-from .series import FieldSeries, Trace, step_times
+from .grid import Field, Grid, l1_norms, norm_l1, norm_linf, require_finite, total_variation
+from .series import FieldSeries, Trace, cumulative_left_riemann, step_times
 from .testfunctions import SineTestFunction
 
 
@@ -169,60 +170,105 @@ def dirichlet_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _banded_matrix(n: int, coeff: float) -> np.ndarray:
-    """(I - coeff * Lap_1d) in solve_banded layout; wall rows carry the ghost."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -coeff            # superdiagonal
-    ab[1, :] = 1.0 + 2.0 * coeff  # diagonal
-    ab[1, 0] = ab[1, -1] = 1.0 + 3.0 * coeff
-    ab[2, :-1] = -coeff           # subdiagonal
-    return ab
+def _tridiagonal(n: int, coeff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I - coeff * Lap_1d) as (sub, main, super) diagonals; wall rows carry the ghost."""
+    off = np.full(n - 1, -coeff)
+    main = np.full(n, 1.0 + 2.0 * coeff)
+    main[0] = main[-1] = 1.0 + 3.0 * coeff
+    return off, main, off
 
 
-def _solve_axis(rhs: np.ndarray, coeff: float, dx: float, axis: int) -> np.ndarray:
-    n = rhs.shape[axis]
-    ab = _banded_matrix(n, coeff / dx**2)
-    moved = np.moveaxis(rhs, axis, 0)
-    flat = moved.reshape(n, -1)
-    sol = solve_banded((1, 1), ab, flat)
-    return np.moveaxis(sol.reshape(moved.shape), 0, axis)
+def _solve_axis(rhs: np.ndarray, band: tuple[np.ndarray, ...], axis: int) -> np.ndarray:
+    """Solve the tridiagonal system along one axis with LAPACK gtsv.
+
+    gtsv is the routine scipy's solve_banded calls for (1, 1) bands; calling
+    it directly skips that wrapper's per-call validation.
+    """
+    moved = rhs.swapaxes(0, axis)  # rhs is at most 2D
+    *_, sol, info = dgtsv(*band, moved.reshape(len(moved), -1))
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return sol.reshape(moved.shape).swapaxes(0, axis)
+
+
+def coefficient_times(times: np.ndarray, kind: str) -> np.ndarray:
+    """Where each step of the scheme evaluates B and b: the left end of the
+    step for backward Euler, its midpoint for the trapezoidal scheme."""
+    if kind == "crank_nicolson":
+        return times[:-1] + 0.5 * np.diff(times)
+    return times[:-1]
+
+
+# a state that overflows is rejected once, when the returned stack is
+# validated; the steps after it would only repeat the warning
+@np.errstate(over="ignore", invalid="ignore")
+def _march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
+                dts: np.ndarray, mu: float, kind: str, grid: Grid) -> np.ndarray:
+    """IMEX steps in arrays; 2D handled by alternating-direction tridiagonal sweeps.
+
+    Step k uses B[k], b[k] (either may be None for 0) and dts[k]; returns
+    every state, shape (len(dts)+1, *grid.shape), unchecked: the caller's
+    Trace or Field validates them.  Backward Euler in 2D uses
+    sequential fully implicit sweeps (keeps the sign-preservation argument
+    of the 1D solve); the trapezoidal scheme uses the Douglas splitting,
+    second order in space with a first-order splitting remainder.  The
+    tridiagonal bands are built once per step size.  Backward Euler needs
+    dt * max|B| < 1 at every step: the march stops before the first step
+    that breaks it and, once the states before it are known to be finite,
+    raises StiffReaction.
+    """
+    n, dim = len(dts), grid.dim
+    theta = 1.0 if kind == "implicit_euler" else 0.5
+    n_ok, stiff = n, 0.0
+    if kind == "implicit_euler" and B is not None:
+        stiffness = dts * np.max(np.abs(B.reshape(n, -1)), axis=1)
+        over = np.flatnonzero(stiffness >= 1.0)
+        if over.size:
+            n_ok, stiff = int(over[0]), stiffness[over[0]]
+    bands: dict[float, list] = {}
+    out = np.empty((n_ok + 1,) + grid.shape)
+    out[0] = w0
+    for k in range(n_ok):
+        dt, w = dts[k], out[k]
+        if dt not in bands:
+            coeff = theta * dt * mu
+            bands[dt] = [_tridiagonal(n_ax, coeff / h**2)
+                         for n_ax, h in zip(grid.shape, grid.dx)]
+        band = bands[dt]
+        reaction = np.zeros(grid.shape)
+        if B is not None:
+            reaction = reaction + B[k] * w
+        if b is not None:
+            reaction = reaction + b[k]
+        if dim == 1 and kind == "implicit_euler":
+            # theta = 1: no explicit diffusion term
+            out[k + 1] = _solve_axis(w + dt * reaction, band[0], axis=0)
+        elif dim == 1:
+            rhs = w + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w, grid) + reaction)
+            out[k + 1] = _solve_axis(rhs, band[0], axis=0)
+        elif kind == "implicit_euler":
+            half = _solve_axis(w + dt * reaction, band[0], axis=0)
+            out[k + 1] = _solve_axis(half, band[1], axis=1)
+        else:
+            # Douglas ADI, theta = 1/2
+            lap_x = _dirichlet_laplacian_1d(w, grid.dx[0], axis=0)
+            lap_y = _dirichlet_laplacian_1d(w, grid.dx[1], axis=1)
+            full_rhs = w + dt * (mu * (lap_x + lap_y) + reaction)
+            y1 = _solve_axis(full_rhs - theta * dt * mu * lap_x, band[0], axis=0)
+            out[k + 1] = _solve_axis(y1 - theta * dt * mu * lap_y, band[1], axis=1)
+    if n_ok < n:
+        require_finite(out)
+        raise StiffReaction(f"dt * max|B| = {stiff:.3g} >= 1")
+    return out
 
 
 def step_parabolic(w: Field, B_t: Field | None, b_t: Field | None, mu: float,
                    scheme: Scheme) -> Field:
-    """One IMEX step; 2D handled by alternating-direction tridiagonal sweeps.
-
-    Backward Euler in 2D uses sequential fully implicit sweeps (keeps the
-    sign-preservation argument of the 1D solve); the trapezoidal scheme uses
-    the Douglas splitting, second order in space with a first-order splitting
-    remainder.
-    """
-    grid = w.grid
-    dt = scheme.dt
-    theta = scheme.theta
-    b_max = float(np.max(np.abs(B_t.values))) if B_t is not None else 0.0
-    if scheme.kind == "implicit_euler" and dt * b_max >= 1.0:
-        raise StiffReaction(f"dt * max|B| = {dt * b_max:.3g} >= 1")
-    reaction = np.zeros(grid.shape)
-    if B_t is not None:
-        reaction = reaction + B_t.values * w.values
-    if b_t is not None:
-        reaction = reaction + b_t.values
-    if grid.dim == 1:
-        rhs = w.values + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w.values, grid)
-                               + reaction)
-        return Field(grid, _solve_axis(rhs, theta * dt * mu, grid.dx[0], axis=0))
-    if scheme.kind == "implicit_euler":
-        rhs = w.values + dt * reaction
-        half = _solve_axis(rhs, dt * mu, grid.dx[0], axis=0)
-        return Field(grid, _solve_axis(half, dt * mu, grid.dx[1], axis=1))
-    # Douglas ADI, theta = 1/2
-    full_rhs = w.values + dt * (mu * dirichlet_laplacian(w.values, grid) + reaction)
-    lap_x = _dirichlet_laplacian_1d(w.values, grid.dx[0], axis=0)
-    lap_y = _dirichlet_laplacian_1d(w.values, grid.dx[1], axis=1)
-    y1 = _solve_axis(full_rhs - theta * dt * mu * lap_x, theta * dt * mu, grid.dx[0], axis=0)
-    y2 = _solve_axis(y1 - theta * dt * mu * lap_y, theta * dt * mu, grid.dx[1], axis=1)
-    return Field(grid, y2)
+    """One IMEX step of size scheme.dt (see _march_imex)."""
+    states = _march_imex(w.values, None if B_t is None else B_t.values[None],
+                         None if b_t is None else b_t.values[None],
+                         np.array([scheme.dt]), mu, scheme.kind, w.grid)
+    return Field(w.grid, states[1])
 
 
 def solve_parabolic(problem: ParabolicProblem, T: float, scheme: Scheme,
@@ -230,34 +276,20 @@ def solve_parabolic(problem: ParabolicProblem, T: float, scheme: Scheme,
     """March from t_start to t_start + T, storing every step with diagnostics.
 
     Steps are uniform at scheme.dt with a short final step landing exactly on
-    the end time when T is not a multiple of dt.
+    the end time when T is not a multiple of dt.  The coefficients of all
+    steps are fetched in one ``stack`` call per series.
     """
     times = step_times(T, scheme.dt, t_start)
-    fields = [problem.w0]
-    w = problem.w0
-    for k in range(len(times) - 1):
-        t = float(times[k])
-        dt_k = float(times[k + 1] - times[k])
-        step_scheme = scheme if abs(dt_k - scheme.dt) < 1e-15 else Scheme(scheme.kind, dt_k)
-        t_coeff = t + 0.5 * dt_k if scheme.kind == "crank_nicolson" else t
-        B_t = problem.B.at(t_coeff) if problem.B is not None else None
-        b_t = problem.b.at(t_coeff) if problem.b is not None else None
-        w = step_parabolic(w, B_t, b_t, problem.mu, step_scheme)
-        fields.append(w)
-    return Trace(times, tuple(fields))
-
-
-def _cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Left-endpoint cumulative integral on the trace time grid.
-
-    The discrete schemes accumulate coefficients at the left endpoint of each
-    step, so bound right-hand sides built with the same rule are honored by
-    the discrete solution exactly, not just up to quadrature error.
-    """
-    out = np.zeros_like(values)
-    dt = np.diff(times)
-    out[1:] = np.cumsum(values[:-1] * dt)
-    return out
+    steps = np.diff(times)
+    dts = np.where(np.abs(steps - scheme.dt) < 1e-15, scheme.dt, steps)
+    t_coeff = coefficient_times(times, scheme.kind)
+    states = _march_imex(
+        problem.w0.values,
+        problem.B.stack(t_coeff) if problem.B is not None else None,
+        problem.b.stack(t_coeff) if problem.b is not None else None,
+        dts, problem.mu, scheme.kind, problem.grid,
+    )
+    return Trace(problem.grid, times, states)
 
 
 @dataclass(frozen=True)
@@ -307,10 +339,10 @@ def check_parabolic_bounds(trace: Trace, problem: ParabolicProblem,
     b_tv = np.array(
         [total_variation(problem.b.at(t)) if problem.b is not None else 0.0 for t in times]
     )
-    int_B = _cumulative_left_riemann(B_sup, times)
-    int_b_l1 = _cumulative_left_riemann(b_l1, times)
-    int_b_sup = _cumulative_left_riemann(b_sup, times)
-    int_b_tv = _cumulative_left_riemann(b_tv, times)
+    int_B = cumulative_left_riemann(B_sup, times)
+    int_b_l1 = cumulative_left_riemann(b_l1, times)
+    int_b_sup = cumulative_left_riemann(b_sup, times)
+    int_b_tv = cumulative_left_riemann(b_tv, times)
     growth = np.exp(int_B)
     w0_l1 = norm_l1(problem.w0)
     w0_sup = norm_linf(problem.w0)
@@ -348,9 +380,7 @@ def parabolic_stability_experiment(problem1: ParabolicProblem, problem2: Parabol
     tr1 = solve_parabolic(problem1, T, scheme)
     tr2 = solve_parabolic(problem2, T, scheme)
     times = tr1.times
-    lhs = np.array(
-        [norm_l1(Field(f1.grid, f1.values - f2.values)) for f1, f2 in zip(tr1.fields, tr2.fields)]
-    )
+    lhs = l1_norms(tr1.values - tr2.values, tr1.grid)
 
     def series_vals(series, fn):
         return np.array([fn(series.at(t)) if series is not None else 0.0 for t in times])
@@ -364,11 +394,11 @@ def parabolic_stability_experiment(problem1: ParabolicProblem, problem2: Parabol
         norm_l1(_diff_field(problem1.b, problem2.b, t, problem1.grid)) for t in times
     ])
     b2_sup = series_vals(problem2.b, norm_linf)
-    int_B1 = _cumulative_left_riemann(B1_sup, times)
-    int_B12 = _cumulative_left_riemann(B1_sup + B2_sup, times)
-    int_dB = _cumulative_left_riemann(dB_l1, times)
-    int_db = _cumulative_left_riemann(db_l1, times)
-    int_b2_sup = _cumulative_left_riemann(b2_sup, times)
+    int_B1 = cumulative_left_riemann(B1_sup, times)
+    int_B12 = cumulative_left_riemann(B1_sup + B2_sup, times)
+    int_dB = cumulative_left_riemann(dB_l1, times)
+    int_db = cumulative_left_riemann(db_l1, times)
+    int_b2_sup = cumulative_left_riemann(b2_sup, times)
     dw0 = norm_l1(Field(problem1.grid, problem1.w0.values - problem2.w0.values))
     w02_sup = norm_linf(problem2.w0)
     rhs = ((dw0 + int_db) * np.exp(int_B1)
@@ -399,7 +429,7 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
         s_lap = tf.space_laplacian(grid)
         integrand = np.empty(len(times))
         for i, t in enumerate(times):
-            w = trace.fields[i].values
+            w = trace.values[i]
             qt = float(tf.time_value(t))
             qdot = float(tf.time_derivative(t))
             term = qdot * np.sum(w * s_vals) + qt * problem.mu * np.sum(w * s_lap)

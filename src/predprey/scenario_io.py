@@ -278,8 +278,8 @@ def write_snapshots(trace: CoupledTrace, directory: str, every: int = 1) -> None
         indices.append(len(trace.times) - 1)
     for snap_no, i in enumerate(indices):
         rows = [",".join(coord_names + ["u", "w"])]
-        u = trace.u_fields[i].values.ravel()
-        w = trace.w_fields[i].values.ravel()
+        u = trace.u.values[i].ravel()
+        w = trace.w.values[i].ravel()
         for c_row, uv, wv in zip(coords, u, w):
             rows.append(",".join([_fmt(c) for c in c_row] + [_fmt(uv), _fmt(wv)]))
         name = os.path.join(directory, f"snapshot_{snap_no:04d}.csv")
@@ -290,7 +290,7 @@ def write_snapshots(trace: CoupledTrace, directory: str, every: int = 1) -> None
 
 def write_bounds_json(report: BoundsReport, path: str) -> None:
     with open(path, "w", encoding="ascii") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

@@ -1,29 +1,49 @@
-"""Time-indexed grid data: constant, callable-backed, and snapshot series.
+"""Time-indexed grid data: coefficient series and the array-backed trace.
 
-Both solvers consume coefficients as "series" objects exposing ``at(t)``.
-Snapshot-backed series interpolate linearly in time and clamp outside the
-stored range, matching the freezing strategy of the fixed-point coupling.
+Both solvers consume coefficients as "series" objects.  ``at(t)`` returns
+one Field (or VectorField); ``stack(times)`` returns the values at many
+times as one array of shape (len(times), *grid.shape) (vector series:
+(len(times), dim, *grid.shape)), which is how the solvers fetch a whole
+march's coefficients in one call.  Snapshot-backed series interpolate
+linearly in time and clamp outside the stored range, matching the freezing
+strategy of the fixed-point coupling; asked for a stored time they return
+the stored snapshot exactly.
+
+A Trace holds a solver's output as one (n_times, *grid.shape) array; its
+norms are axis reductions over that array, computed on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, VectorField, norm_l1, norm_linf, total_variation
+from .grid import (Field, Grid, GridError, VectorField, l1_norms, linf_norms,
+                   require_finite, total_variations)
 
 
 class FieldSeries:
     def at(self, t: float) -> Field:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def stack(self, times: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
+
 
 class VectorSeries:
     def at(self, t: float) -> VectorField:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def stack(self, times: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
+
+
+def _broadcast(value: np.ndarray, times: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(value, (len(times),) + value.shape)
 
 
 @dataclass(frozen=True)
@@ -33,6 +53,9 @@ class ConstantFieldSeries(FieldSeries):
     def at(self, t: float) -> Field:
         return self.value
 
+    def stack(self, times: np.ndarray) -> np.ndarray:
+        return _broadcast(self.value.values, times)
+
 
 @dataclass(frozen=True)
 class FuncFieldSeries(FieldSeries):
@@ -41,30 +64,8 @@ class FuncFieldSeries(FieldSeries):
     def at(self, t: float) -> Field:
         return self.fn(t)
 
-
-def _bracket(times: np.ndarray, t: float) -> tuple[int, int, float]:
-    """Indices (i0, i1) and blend weight for linear interpolation, clamped."""
-    if t <= times[0]:
-        return 0, 0, 0.0
-    if t >= times[-1]:
-        return len(times) - 1, len(times) - 1, 0.0
-    i1 = int(np.searchsorted(times, t, side="right"))
-    i0 = i1 - 1
-    span = times[i1] - times[i0]
-    return i0, i1, float((t - times[i0]) / span)
-
-
-@dataclass(frozen=True)
-class SampledFieldSeries(FieldSeries):
-    times: np.ndarray
-    fields: tuple[Field, ...]
-
-    def at(self, t: float) -> Field:
-        i0, i1, lam = _bracket(self.times, t)
-        if i0 == i1 or lam == 0.0:
-            return self.fields[i0]
-        blend = (1 - lam) * self.fields[i0].values + lam * self.fields[i1].values
-        return Field(self.fields[i0].grid, blend)
+    def stack(self, times: np.ndarray) -> np.ndarray:
+        return np.stack([self.fn(t).values for t in times])
 
 
 @dataclass(frozen=True)
@@ -74,82 +75,108 @@ class ConstantVectorSeries(VectorSeries):
     def at(self, t: float) -> VectorField:
         return self.value
 
+    def stack(self, times: np.ndarray) -> np.ndarray:
+        return _broadcast(self.value.components, times)
+
+
+def _interpolate(times: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Snapshots ``values`` (one per entry of ``times``) blended linearly at ``ts``.
+
+    Clamped outside [times[0], times[-1]]; a query that lands on a stored
+    time returns that snapshot unblended.  The result may be a view of
+    ``values``.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if len(ts) <= len(times) and np.array_equal(ts, times[:len(ts)]):
+        return values[:len(ts)]
+    i0 = np.where(ts >= times[-1], len(times) - 1, 0)
+    inside = np.flatnonzero((ts > times[0]) & (ts < times[-1]))
+    i1 = np.searchsorted(times, ts[inside], side="right")
+    lam = (ts[inside] - times[i1 - 1]) / (times[i1] - times[i1 - 1])
+    i0[inside] = i1 - 1
+    out = values[i0]
+    blend = lam != 0.0
+    if np.any(blend):
+        j1 = i1[blend]
+        weight = lam[blend].reshape((-1,) + (1,) * (values.ndim - 1))
+        out[inside[blend]] = (1 - weight) * values[j1 - 1] + weight * values[j1]
+    return out
+
 
 @dataclass(frozen=True)
-class FuncVectorSeries(VectorSeries):
-    fn: Callable[[float], VectorField]
+class SampledFieldSeries(FieldSeries):
+    """Snapshots ``values`` (n, *grid.shape) at ascending ``times``."""
 
-    def at(self, t: float) -> VectorField:
-        return self.fn(t)
+    grid: Grid
+    times: np.ndarray
+    values: np.ndarray
+
+    def at(self, t: float) -> Field:
+        return Field(self.grid, self.stack(np.array([t]))[0])
+
+    def stack(self, times: np.ndarray) -> np.ndarray:
+        return _interpolate(self.times, self.values, times)
 
 
 @dataclass(frozen=True)
 class SampledVectorSeries(VectorSeries):
+    """Snapshots ``values`` (n, dim, *grid.shape) at ascending ``times``."""
+
+    grid: Grid
     times: np.ndarray
-    fields: tuple[VectorField, ...]
+    values: np.ndarray
 
     def at(self, t: float) -> VectorField:
-        i0, i1, lam = _bracket(self.times, t)
-        if i0 == i1 or lam == 0.0:
-            return self.fields[i0]
-        blend = (1 - lam) * self.fields[i0].components + lam * self.fields[i1].components
-        return VectorField(self.fields[i0].grid, blend)
+        return VectorField(self.grid, self.stack(np.array([t]))[0])
 
-
-def field_series(obj) -> FieldSeries:
-    """Coerce a Field or callable into a series; pass series through."""
-    if isinstance(obj, FieldSeries):
-        return obj
-    if isinstance(obj, Field):
-        return ConstantFieldSeries(obj)
-    if callable(obj):
-        return FuncFieldSeries(obj)
-    raise TypeError(f"cannot interpret {type(obj)!r} as a field series")
-
-
-def vector_series(obj) -> VectorSeries:
-    if isinstance(obj, VectorSeries):
-        return obj
-    if isinstance(obj, VectorField):
-        return ConstantVectorSeries(obj)
-    if callable(obj):
-        return FuncVectorSeries(obj)
-    raise TypeError(f"cannot interpret {type(obj)!r} as a vector series")
+    def stack(self, times: np.ndarray) -> np.ndarray:
+        return _interpolate(self.times, self.values, times)
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-step solver output with running norm diagnostics."""
+    """Per-step solver output: ``values`` has shape (n_times, *grid.shape).
 
+    Construction validates once for the whole array (strictly increasing
+    times, shape, finiteness) and freezes it; ``l1``/``linf``/``tv`` are the
+    per-time norms.
+    """
+
+    grid: Grid
     times: np.ndarray
-    fields: tuple[Field, ...]
-    l1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    linf: np.ndarray = field(default=None)  # type: ignore[assignment]
-    tv: np.ndarray = field(default=None)  # type: ignore[assignment]
+    values: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ValueError("trace times must be strictly increasing")
+        values = np.ascontiguousarray(self.values, dtype=float)
+        if values.shape != (len(times),) + self.grid.shape:
+            raise GridError(f"trace shape {values.shape} != "
+                            f"{(len(times),) + self.grid.shape}")
+        require_finite(values)
+        values.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if self.l1 is None:
-            object.__setattr__(self, "l1", np.array([norm_l1(f) for f in self.fields]))
-            object.__setattr__(self, "linf", np.array([norm_linf(f) for f in self.fields]))
-            object.__setattr__(self, "tv", np.array([total_variation(f) for f in self.fields]))
+        object.__setattr__(self, "values", values)
 
-    @property
-    def grid(self) -> Grid:
-        return self.fields[0].grid
+    @cached_property
+    def l1(self) -> np.ndarray:
+        return l1_norms(self.values, self.grid)
 
-    def series(self) -> SampledFieldSeries:
-        return SampledFieldSeries(self.times, self.fields)
+    @cached_property
+    def linf(self) -> np.ndarray:
+        return linf_norms(self.values, self.grid)
 
-    def at(self, t: float) -> Field:
-        return self.series().at(t)
+    @cached_property
+    def tv(self) -> np.ndarray:
+        return total_variations(self.values, self.grid)
+
+    @cached_property
+    def fields(self) -> tuple[Field, ...]:
+        return tuple(Field(self.grid, v) for v in self.values)
 
     def final(self) -> Field:
-        return self.fields[-1]
+        return Field(self.grid, self.values[-1])
 
 
 def step_times(T: float, dt: float, t_start: float = 0.0) -> np.ndarray:
@@ -161,11 +188,14 @@ def step_times(T: float, dt: float, t_start: float = 0.0) -> np.ndarray:
     return times
 
 
-def trace_l1_distance(a: Trace, b: Trace) -> float:
-    """sup over shared times of the L1 distance; traces must share the time grid."""
-    if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
-        raise ValueError("traces are on different time grids")
-    return max(
-        norm_l1(Field(fa.grid, fa.values - fb.values))
-        for fa, fb in zip(a.fields, b.fields)
-    )
+def cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Left-endpoint cumulative integral on the trace time grid.
+
+    The discrete schemes accumulate coefficients at the left endpoint of each
+    step, so bound right-hand sides built with the same rule are honored by
+    the discrete solution exactly, not just up to quadrature error.
+    """
+    out = np.zeros_like(values)
+    dt = np.diff(times)
+    out[1:] = np.cumsum(values[:-1] * dt)
+    return out

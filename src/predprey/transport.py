@@ -26,11 +26,11 @@ import numpy as np
 from scipy import integrate
 
 from .grid import (Field, Grid, VectorField, divergence, gradient_components,
-                   interp_field, interp_values, norm_l1, norm_linf,
-                   total_variation)
+                   interp_field, interp_values, l1_norms, norm_l1, norm_linf,
+                   require_finite, total_variation)
 from .series import (ConstantFieldSeries, ConstantVectorSeries, FieldSeries,
                      FuncFieldSeries, SampledFieldSeries, SampledVectorSeries,
-                     Trace, VectorSeries, step_times)
+                     Trace, VectorSeries, cumulative_left_riemann, step_times)
 from .testfunctions import SineTestFunction
 
 
@@ -66,7 +66,8 @@ class CharPath:
 
 def divergence_series(c_series: VectorSeries, grid: Grid) -> FieldSeries:
     if isinstance(c_series, SampledVectorSeries):
-        return SampledFieldSeries(c_series.times, tuple(divergence(v) for v in c_series.fields))
+        div = [divergence(VectorField(grid, v)).values for v in c_series.values]
+        return SampledFieldSeries(grid, c_series.times, np.stack(div))
     if isinstance(c_series, ConstantVectorSeries):
         return ConstantFieldSeries(divergence(c_series.value))
     return FuncFieldSeries(lambda t: divergence(c_series.at(t)))
@@ -269,60 +270,94 @@ def characteristics_solution_field(problem: TransportProblem, t: float,
     return Field(problem.grid, vals.reshape(problem.grid.shape))
 
 
-def _upwind_sweep(values: np.ndarray, cvals: np.ndarray, dt: float, dx: float,
-                  axis: int) -> np.ndarray:
-    """Conservative upwind transport along one axis, zero-inflow walls."""
-    v = np.moveaxis(values, axis, 0)
-    c = np.moveaxis(cvals, axis, 0)
-    c_face = 0.5 * (c[:-1] + c[1:])
-    flux_interior = np.maximum(c_face, 0.0) * v[:-1] + np.minimum(c_face, 0.0) * v[1:]
-    flux_left = np.minimum(c[:1], 0.0) * v[:1]     # inflow carries the exterior 0
-    flux_right = np.maximum(c[-1:], 0.0) * v[-1:]  # outflow upwinds the interior value
-    flux = np.concatenate([flux_left, flux_interior, flux_right], axis=0)
-    out = v - dt / dx * (flux[1:] - flux[:-1])
-    return np.moveaxis(out, 0, axis)
+def _face_speeds(c_axis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Upwind flux factors of one velocity component, sweep axis first after time.
+
+    ``c_axis`` has shape (n_steps, n_cells_along_axis, ...).  Returns the
+    interior face speeds split by sign and the wall factors: inflow carries
+    the exterior 0, outflow upwinds the interior value.
+    """
+    c_face = 0.5 * (c_axis[:, :-1] + c_axis[:, 1:])
+    return (np.maximum(c_face, 0.0), np.minimum(c_face, 0.0),
+            np.minimum(c_axis[:, :1], 0.0), np.maximum(c_axis[:, -1:], 0.0))
+
+
+def _upwind_sweep(v: np.ndarray, faces: tuple[np.ndarray, ...], dt: float,
+                  dx: float) -> np.ndarray:
+    """Conservative upwind transport along axis 0, zero-inflow walls."""
+    pos, neg, left, right = faces
+    flux_interior = pos * v[:-1] + neg * v[1:]
+    flux = np.concatenate([left * v[:1], flux_interior, right * v[-1:]], axis=0)
+    return v - dt / dx * (flux[1:] - flux[:-1])
+
+
+# a state that overflows is rejected once, when the returned stack is
+# validated; the steps after it would only repeat the warning
+@np.errstate(over="ignore", invalid="ignore")
+def _march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
+                  a: np.ndarray | None, dts: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dimension-split upwind steps with explicit Euler source, all in arrays.
+
+    Step k uses c[k] (dim, *grid.shape), A[k], a[k] (grid.shape, either may
+    be None for 0) and dts[k]; returns every state, shape (len(dts)+1,
+    *grid.shape), unchecked: the caller's Trace or Field validates them.
+    The CFL limit is checked for all steps up front; the march stops before
+    the first violating step and, once the states before it are known to be
+    finite, raises CflViolation.
+    """
+    n, dim = len(dts), grid.dim
+    cmax = np.max(np.abs(c.reshape(n, -1)), axis=1)
+    cfl = dts * cmax / min(grid.dx)
+    over = np.flatnonzero(cfl > 0.9 + 1e-12)
+    n_ok = int(over[0]) if over.size else n
+    # axis ax of a (<= 2D) field moved first is a swap with axis 0
+    faces = [_face_speeds(c[:n_ok, ax].swapaxes(1, ax + 1)) for ax in range(dim)]
+    out = np.empty((n_ok + 1,) + grid.shape)
+    out[0] = u0
+    for k in range(n_ok):
+        vals = out[k]
+        for ax in range(dim):
+            faces_k = [f[k] for f in faces[ax]]
+            vals = _upwind_sweep(vals.swapaxes(0, ax), faces_k, dts[k],
+                                 grid.dx[ax]).swapaxes(0, ax)
+        source = np.zeros(grid.shape)
+        if A is not None:
+            source = source + A[k] * vals
+        if a is not None:
+            source = source + a[k]
+        out[k + 1] = vals + dts[k] * source
+    if over.size:
+        require_finite(out)
+        raise CflViolation(f"dt*max|c|/min(dx) = {cfl[n_ok]:.3f} exceeds 0.9")
+    return out
 
 
 def fv_upwind_step(u: Field, c_t: VectorField, A_t: Field | None, a_t: Field | None,
                    dt: float) -> Field:
     """One dimension-split upwind step with explicit Euler source."""
-    grid = u.grid
-    cmax = float(np.max(np.abs(c_t.components)))
-    if dt * cmax / min(grid.dx) > 0.9 + 1e-12:
-        raise CflViolation(
-            f"dt*max|c|/min(dx) = {dt * cmax / min(grid.dx):.3f} exceeds 0.9"
-        )
-    vals = u.values
-    for ax in range(grid.dim):
-        vals = _upwind_sweep(vals, c_t.components[ax], dt, grid.dx[ax], ax)
-    source = np.zeros(grid.shape)
-    if A_t is not None:
-        source = source + A_t.values * vals
-    if a_t is not None:
-        source = source + a_t.values
-    return Field(grid, vals + dt * source)
+    states = _march_upwind(u.values, c_t.components[None],
+                           None if A_t is None else A_t.values[None],
+                           None if a_t is None else a_t.values[None],
+                           np.array([dt]), u.grid)
+    return Field(u.grid, states[1])
 
 
 def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
                      t_start: float = 0.0) -> Trace:
-    """Upwind march from t_start to t_start + T, trace stored every step."""
+    """Upwind march from t_start to t_start + T, trace stored every step.
+
+    Each step takes its coefficients at its left end; they are fetched for
+    the whole march in one ``stack`` call per series.
+    """
     times = step_times(T, dt, t_start)
-    fields = [problem.u0]
-    u = problem.u0
-    for k in range(len(times) - 1):
-        t = times[k]
-        c_t = problem.c.at(t)
-        A_t = problem.A.at(t) if problem.A is not None else None
-        a_t = problem.a.at(t) if problem.a is not None else None
-        u = fv_upwind_step(u, c_t, A_t, a_t, float(times[k + 1] - t))
-        fields.append(u)
-    return Trace(times, tuple(fields))
-
-
-def _cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(values[:-1] * np.diff(times))
-    return out
+    left = times[:-1]
+    states = _march_upwind(
+        problem.u0.values, problem.c.stack(left),
+        problem.A.stack(left) if problem.A is not None else None,
+        problem.a.stack(left) if problem.a is not None else None,
+        np.diff(times), problem.grid,
+    )
+    return Trace(problem.grid, times, states)
 
 
 def _grad_div_l1(vf: VectorField) -> float:
@@ -387,13 +422,13 @@ def check_hyperbolic_bounds(trace: Trace, problem: TransportProblem,
         dxc_sup[i] = worst
         graddiv_l1[i] = _grad_div_l1(vf)
     elapsed = times - times[0]
-    int_a_l1 = _cumulative_left_riemann(a_l1, times)
-    int_a_sup = _cumulative_left_riemann(a_sup, times)
-    int_a_tv = _cumulative_left_riemann(a_tv, times)
-    int_A_sup = _cumulative_left_riemann(A_sup, times)
-    int_div = _cumulative_left_riemann(div_sup, times)
-    int_dxc = _cumulative_left_riemann(dxc_sup, times)
-    int_Atv_graddiv = _cumulative_left_riemann(A_tv + graddiv_l1, times)
+    int_a_l1 = cumulative_left_riemann(a_l1, times)
+    int_a_sup = cumulative_left_riemann(a_sup, times)
+    int_a_tv = cumulative_left_riemann(a_tv, times)
+    int_A_sup = cumulative_left_riemann(A_sup, times)
+    int_div = cumulative_left_riemann(div_sup, times)
+    int_dxc = cumulative_left_riemann(dxc_sup, times)
+    int_Atv_graddiv = cumulative_left_riemann(A_tv + graddiv_l1, times)
     u0_l1, u0_sup, u0_tv = trace.l1[0], trace.linf[0], trace.tv[0]
     rhs_l1 = (u0_l1 + int_a_l1) * np.exp(np.maximum.accumulate(A_sup) * elapsed)
     rhs_linf = (u0_sup + int_a_sup) * np.exp(int_A_sup + int_div)
@@ -421,8 +456,7 @@ def stability_in_A(problem1: TransportProblem, problem2: TransportProblem,
     tr2 = solve_hyperbolic(problem2, T, dt)
     times = tr1.times
     grid = problem1.grid
-    lhs = np.array([norm_l1(Field(grid, f1.values - f2.values))
-                    for f1, f2 in zip(tr1.fields, tr2.fields)])
+    lhs = l1_norms(tr1.values - tr2.values, grid)
     A1 = np.array([norm_linf(problem1.A.at(t)) if problem1.A is not None else 0.0 for t in times])
     A2 = np.array([norm_linf(problem2.A.at(t)) if problem2.A is not None else 0.0 for t in times])
     dA = np.array([
@@ -434,8 +468,8 @@ def stability_in_A(problem1: TransportProblem, problem2: TransportProblem,
     elapsed = times - times[0]
     worst_rate = np.maximum(np.maximum.accumulate(A1), np.maximum.accumulate(A2))
     rhs = (np.exp(elapsed * worst_rate)
-           * (norm_linf(problem1.u0) + _cumulative_left_riemann(a_sup, times))
-           * _cumulative_left_riemann(dA, times))
+           * (norm_linf(problem1.u0) + cumulative_left_riemann(a_sup, times))
+           * cumulative_left_riemann(dA, times))
     return ComparisonReport(times, lhs, rhs)
 
 
@@ -456,8 +490,7 @@ def stability_in_c(problem1: TransportProblem, problem2: TransportProblem,
     tr2 = solve_hyperbolic(problem2, T, dt)
     times = tr1.times
     grid = problem1.grid
-    lhs = np.array([norm_l1(Field(grid, f1.values - f2.values))
-                    for f1, f2 in zip(tr1.fields, tr2.fields)])
+    lhs = l1_norms(tr1.values - tr2.values, grid)
     A_sup = np.array([norm_linf(problem1.A.at(t)) if problem1.A is not None else 0.0 for t in times])
     A_tv = np.array([total_variation(problem1.A.at(t)) if problem1.A is not None else 0.0 for t in times])
     a_l1 = np.array([norm_l1(problem1.a.at(t)) if problem1.a is not None else 0.0 for t in times])
@@ -481,15 +514,15 @@ def stability_in_c(problem1: TransportProblem, problem2: TransportProblem,
         graddiv1_l1[i] = _grad_div_l1(v1)
     elapsed = times - times[0]
     u0_l1, u0_sup, u0_tv = norm_l1(problem1.u0), norm_linf(problem1.u0), total_variation(problem1.u0)
-    int_a_l1 = _cumulative_left_riemann(a_l1, times)
-    int_a_sup = _cumulative_left_riemann(a_sup, times)
+    int_a_l1 = cumulative_left_riemann(a_l1, times)
+    int_a_sup = cumulative_left_riemann(a_sup, times)
     term1 = ((u0_l1 + int_a_l1) * np.exp(np.maximum.accumulate(A_sup) * elapsed)
-             * _cumulative_left_riemann(ddiv_sup, times))
-    bracket = (u0_tv + tv_constant * u0_sup + _cumulative_left_riemann(a_tv, times)
-               + (u0_sup + int_a_sup) * _cumulative_left_riemann(A_tv + graddiv1_l1, times))
-    term2 = (_cumulative_left_riemann(dc_sup, times)
-             * np.exp(_cumulative_left_riemann(A_sup, times)
-                      + _cumulative_left_riemann(dxc1_sup, times))
+             * cumulative_left_riemann(ddiv_sup, times))
+    bracket = (u0_tv + tv_constant * u0_sup + cumulative_left_riemann(a_tv, times)
+               + (u0_sup + int_a_sup) * cumulative_left_riemann(A_tv + graddiv1_l1, times))
+    term2 = (cumulative_left_riemann(dc_sup, times)
+             * np.exp(cumulative_left_riemann(A_sup, times)
+                      + cumulative_left_riemann(dxc1_sup, times))
              * bracket)
     return ComparisonReport(times, lhs, term1 + term2)
 
@@ -503,18 +536,12 @@ class TimeLipschitzReport:
 def time_lipschitz_check(trace: Trace) -> TimeLipschitzReport:
     if len(trace.times) < 3:
         raise ValueError("need at least 3 trace times")
-    grid = trace.grid
+    grid, times, values = trace.grid, trace.times, trace.values
     worst = 0.0
-    n = len(trace.times)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = norm_l1(Field(grid, trace.fields[j].values - trace.fields[i].values))
-            worst = max(worst, d / (trace.times[j] - trace.times[i]))
-    consecutive = np.array([
-        norm_l1(Field(grid, trace.fields[i + 1].values - trace.fields[i].values))
-        / (trace.times[i + 1] - trace.times[i])
-        for i in range(n - 1)
-    ])
+    for i in range(len(times) - 1):
+        later = l1_norms(values[i + 1:] - values[i], grid) / (times[i + 1:] - times[i])
+        worst = max(worst, float(np.max(later)))
+    consecutive = l1_norms(np.diff(values, axis=0), grid) / np.diff(times)
     return TimeLipschitzReport(worst, consecutive)
 
 
@@ -530,7 +557,7 @@ def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
         s_grad = tf.space_gradient(grid)
         integrand = np.empty(len(times))
         for i, t in enumerate(times):
-            u = trace.fields[i].values
+            u = trace.values[i]
             qt = float(tf.time_value(t))
             qdot = float(tf.time_derivative(t))
             c_t = problem.c.at(t)
@@ -546,6 +573,6 @@ def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
             term += qt * np.sum(react * s_vals)
             integrand[i] = term * vol
         space_time = integrate.simpson(integrand, x=times)
-        initial = float(tf.time_value(times[0])) * np.sum(trace.fields[0].values * s_vals) * vol
+        initial = float(tf.time_value(times[0])) * np.sum(trace.values[0] * s_vals) * vol
         residuals.append(space_time + initial)
     return np.array(residuals)

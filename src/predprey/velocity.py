@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate, ndimage
 
 from .grid import (Field, Grid, VectorField, divergence, gradient_components,
-                   norm_l1, norm_linf)
+                   norm_l1, norm_linf, require_finite)
 
 
 class HorizonTooSmall(ValueError):
@@ -89,10 +89,42 @@ def make_kernel(ell: float, grid: Grid) -> Kernel:
     return Kernel(grid, float(ell), float(ell_bar), weights, denominators)
 
 
+def _average(values: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """modified_convolution on raw values: one density or a stack (n, *grid.shape).
+
+    A stack is correlated with the kernel padded by unit time axes, which
+    gives each density exactly the values of correlating it alone.
+    """
+    lead = values.ndim - kernel.weights.ndim
+    weights = kernel.weights.reshape((1,) * lead + kernel.weights.shape)
+    num = ndimage.correlate(values, weights, mode="constant", cval=0.0)
+    return num * kernel.grid.cell_volume / kernel.denominators
+
+
 def modified_convolution(rho: Field, kernel: Kernel) -> Field:
     """Average of rho around each cell, renormalized by the in-domain kernel mass."""
-    num = ndimage.correlate(rho.values, kernel.weights, mode="constant", cval=0.0)
-    return Field(rho.grid, num * rho.grid.cell_volume / kernel.denominators)
+    return Field(rho.grid, _average(rho.values, kernel))
+
+
+def drift_velocity(w: np.ndarray, kernel: Kernel, kappa: float, attract: int = 1) -> np.ndarray:
+    """velocity() on raw values: w is one density or a stack (n, *grid.shape).
+
+    Returns the components, shape (dim, *grid.shape) or (n, dim, *grid.shape).
+    """
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    if attract not in (1, -1):
+        raise ValueError("attract must be +1 or -1")
+    grid = kernel.grid
+    conv = _average(w, kernel)
+    grads = gradient_components(conv, grid)
+    gnorm2 = np.zeros(conv.shape)
+    for g in grads:
+        gnorm2 += g**2
+    scale = attract * kappa / np.sqrt(1.0 + gnorm2)
+    comps = np.stack([g * scale for g in grads], axis=w.ndim - grid.dim)
+    require_finite(comps, "vector field")
+    return comps
 
 
 def velocity(w: Field, kernel: Kernel, kappa: float, attract: int = 1) -> VectorField:
@@ -101,18 +133,7 @@ def velocity(w: Field, kernel: Kernel, kappa: float, attract: int = 1) -> Vector
     attract=+1 points toward higher averaged density, -1 away from it.  The
     speed is capped by kappa by construction.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    if attract not in (1, -1):
-        raise ValueError("attract must be +1 or -1")
-    conv = modified_convolution(w, kernel)
-    grads = gradient_components(conv.values, w.grid)
-    gnorm2 = np.zeros(w.grid.shape)
-    for g in grads:
-        gnorm2 += g**2
-    scale = attract * kappa / np.sqrt(1.0 + gnorm2)
-    comps = np.stack([g * scale for g in grads], axis=0)
-    return VectorField(w.grid, comps)
+    return VectorField(w.grid, drift_velocity(w.values, kernel, kappa, attract))
 
 
 def _max_derivative(vf: VectorField) -> float:

@@ -148,3 +148,28 @@ def test_runtime_nonfinite_exit_code(tmp_path, capsys):
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "coefficients.b" in err
+
+
+def test_shipped_artifacts_match_golden_hashes(tmp_path):
+    # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
+    # `predprey run` wrote for the shipped scenarios before the solver was
+    # array-backed; refactors must keep those bytes
+    import hashlib
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    manifest = os.path.join(os.path.dirname(__file__), "data", "shipped_artifacts.sha256")
+    expected = {}
+    for line in open(manifest, encoding="ascii"):
+        digest, name = line.split()
+        expected[name] = digest
+    for scenario in sorted({name.split("/")[0] for name in expected}):
+        path = os.path.join(root, "scenarios", scenario + ".ini")
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / scenario)]) == 0
+    written = {}
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            name = path.relative_to(tmp_path).as_posix()
+            written[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    changed = sorted(n for n in expected if written.get(n) != expected[n])
+    extra = sorted(set(written) - set(expected))
+    assert not changed and not extra, f"changed or missing: {changed}; unexpected: {extra}"

@@ -9,7 +9,7 @@ from predprey.coupling import (NoContraction, Scenario, WindowCollapse,
                                lipschitz_in_data_experiment, picard_window,
                                positivity_audit, solve_coupled,
                                stability_in_controls_experiment)
-from predprey.grid import DomainSpec, Field, norm_l1, zeros
+from predprey.grid import DomainSpec, Field, norm_l1
 from predprey.parabolic import ParabolicProblem, solve_parabolic
 from predprey.series import FuncFieldSeries, Trace
 from predprey.transport import TransportProblem, solve_hyperbolic
@@ -52,7 +52,7 @@ class TestFreeze:
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
         times = np.array([0.0, 0.01, 0.02])
-        z = Trace(times, tuple([zeros(grid)] * 3))
+        z = Trace(grid, times, np.zeros((3,) + grid.shape))
         c_ser, A_ser, B_ser = freeze_coefficients(z, z, s, kernel)
         assert np.all(c_ser.at(0.005).components == 0.0)
         assert np.allclose(A_ser.at(0.0).values, 1.0)   # alpha(0) = 1 - 0
@@ -63,10 +63,8 @@ class TestFreeze:
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
         times = np.array([0.0, 0.01])
-        u = Field(grid, np.full(grid.shape, 0.25))
-        w = Field(grid, np.full(grid.shape, 0.5))
-        tr_u = Trace(times, (u, u))
-        tr_w = Trace(times, (w, w))
+        tr_u = Trace(grid, times, np.full((2,) + grid.shape, 0.25))
+        tr_w = Trace(grid, times, np.full((2,) + grid.shape, 0.5))
         _, A_ser, B_ser = freeze_coefficients(tr_u, tr_w, s, kernel)
         assert np.allclose(A_ser.at(0.0).values, 0.5)
         assert np.allclose(B_ser.at(0.0).values, -0.25)
@@ -146,8 +144,7 @@ class TestSolveCoupled:
         B_series = FuncFieldSeries(lambda t: ex.sample_field(s.beta, grid, t))
         w_ref = solve_parabolic(ParabolicProblem(grid, s.mu, B_series, b_series, w0),
                                 s.horizon, s.scheme())
-        u_ref_tr = Trace(w_ref.times, w_ref.fields)
-        c_ser, A_ser, _ = freeze_coefficients(u_ref_tr, w_ref, s, kernel)
+        c_ser, A_ser, _ = freeze_coefficients(w_ref, w_ref, s, kernel)
         a_series = FuncFieldSeries(lambda t: ex.sample_field(s.a, grid, t))
         u_ref = solve_hyperbolic(TransportProblem(grid, c_ser, A_ser, a_series, u0),
                                  s.horizon, s.dt)

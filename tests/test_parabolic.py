@@ -265,10 +265,9 @@ class TestWeakResidual:
         mu, T = 0.1, 0.2
         times = np.linspace(0, T, 81)
         mode = eigenmode(g)
-        fields = tuple(Field(g, math.exp(-mu * math.pi**2 * t) * mode.values)
-                       for t in times)
+        values = np.array([math.exp(-mu * math.pi**2 * t) * mode.values for t in times])
         from predprey.series import Trace
-        trace = Trace(times, fields)
+        trace = Trace(g, times, values)
         prob = ParabolicProblem(g, mu, None, None, mode)
         res = weak_residual_parabolic(trace, prob, [SineTestFunction((1,), 1, T)])
         assert abs(res[0]) < 1e-6

@@ -1,0 +1,162 @@
+"""The array-backed Picard window against the per-step Field loop it replaced.
+
+The oracle below is the slow path: coefficients frozen one snapshot at a
+time, read back through ``at(t)`` with the original bracket-and-blend rule,
+and marched one ``fv_upwind_step``/``step_parabolic`` call per step.  The
+array path must reproduce it bit for bit, and must still fail the same way.
+"""
+
+import numpy as np
+import pytest
+
+from predprey import expressions as ex
+from predprey.coupling import Scenario, picard_window
+from predprey.grid import DomainSpec, Field, GridError, VectorField, build_grid, norm_l1, zeros
+from predprey.parabolic import (ParabolicProblem, Scheme, StiffReaction, solve_parabolic,
+                                step_parabolic)
+from predprey.series import ConstantFieldSeries, ConstantVectorSeries, step_times
+from predprey.transport import CflViolation, TransportProblem, fv_upwind_step, solve_hyperbolic
+from predprey.velocity import make_kernel, velocity
+
+
+def make_scenario(**overrides) -> Scenario:
+    defaults = dict(
+        domain=DomainSpec(((0.0, 1.0),)),
+        n_cells=(64,),
+        mu=0.05, ell=0.25, kappa=0.5, attract=1,
+        alpha=ex.parse("1 - w + 0.1*t", ex.Slot.ALPHA),
+        beta=ex.parse("-u + 0.05*sin(9*t)", ex.Slot.BETA),
+        a=ex.parse("0.1 + 0.05*sin(20*t)*x", ex.Slot.SOURCE_A),
+        b=ex.parse("0.1*cos(7*t)", ex.Slot.SOURCE_B),
+        u0=ex.parse("0.5*exp(-50*(x-0.3)^2)", ex.Slot.INIT),
+        w0=ex.parse("0.5*exp(-50*(x-0.7)^2)", ex.Slot.INIT),
+        horizon=0.2, dt=0.005, snapshot_every=4,
+        parabolic_scheme="implicit_euler",
+        picard_tol=1e-8, picard_max_iter=12,
+        k_alpha=1.0, k_beta=1.0,
+    )
+    defaults.update(overrides)
+    return Scenario(**defaults)
+
+
+SQUARE = dict(
+    domain=DomainSpec(((0.0, 1.0), (0.0, 1.0))),
+    n_cells=(24, 24),
+    ell=0.2, kappa=0.4,
+    a=ex.parse("0.05 + 0.02*sin(20*t)*y", ex.Slot.SOURCE_A),
+    u0=ex.parse("0.4*exp(-30*((x-0.35)^2+(y-0.35)^2))", ex.Slot.INIT),
+    w0=ex.parse("0.4*exp(-30*((x-0.65)^2+(y-0.65)^2))", ex.Slot.INIT),
+)
+
+
+class Snapshots:
+    """Snapshot series of the slow path: one Field or VectorField per time."""
+
+    def __init__(self, times, fields):
+        self.times = times
+        self.fields = fields
+
+    def at(self, t):
+        times, fields = self.times, self.fields
+        if t <= times[0]:
+            return fields[0]
+        if t >= times[-1]:
+            return fields[-1]
+        i1 = int(np.searchsorted(times, t, side="right"))
+        i0 = i1 - 1
+        lam = float((t - times[i0]) / (times[i1] - times[i0]))
+        if lam == 0.0:
+            return fields[i0]
+        f0, f1 = fields[i0], fields[i1]
+        if isinstance(f0, VectorField):
+            return VectorField(f0.grid, (1 - lam) * f0.components + lam * f1.components)
+        return Field(f0.grid, (1 - lam) * f0.values + lam * f1.values)
+
+
+def oracle_window(s, grid, kernel, t0, t1, u_init, w_init):
+    """Picard iteration on [t0, t1], one Field per step; returns (u, w, diffs)."""
+    span = t1 - t0
+    times = t0 + s.dt * np.arange(int(round(span / s.dt)) + 1)
+    steps = step_times(span, s.dt, t0)
+    scheme = s.scheme()
+    u_prev, w_prev = [u_init] * len(times), [w_init] * len(times)
+    diffs = []
+    for _ in range(s.picard_max_iter):
+        c = Snapshots(times, [velocity(w, kernel, s.kappa, s.attract) for w in w_prev])
+        A = Snapshots(times, [ex.sample_field(s.alpha, grid, t, w=w)
+                              for t, w in zip(times, w_prev)])
+        B = Snapshots(times, [ex.sample_field(s.beta, grid, t, u=u, w=w)
+                              for t, u, w in zip(times, u_prev, w_prev)])
+        u_next, w_next = [u_init], [w_init]
+        for k in range(len(steps) - 1):
+            t = float(steps[k])
+            dt_k = float(steps[k + 1] - steps[k])
+            u_next.append(fv_upwind_step(u_next[-1], c.at(t), A.at(t),
+                                         ex.sample_field(s.a, grid, t), dt_k))
+            step_scheme = scheme if abs(dt_k - scheme.dt) < 1e-15 else Scheme(scheme.kind, dt_k)
+            t_coeff = t + 0.5 * dt_k if scheme.kind == "crank_nicolson" else t
+            w_next.append(step_parabolic(w_next[-1], B.at(t_coeff),
+                                         ex.sample_field(s.b, grid, t_coeff), s.mu, step_scheme))
+        diffs.append(max(
+            norm_l1(Field(grid, un.values - up.values)) + norm_l1(Field(grid, wn.values - wp.values))
+            for un, up, wn, wp in zip(u_next, u_prev, w_next, w_prev)
+        ))
+        u_prev, w_prev = u_next, w_next
+        if diffs[-1] < s.picard_tol:
+            return u_next, w_next, diffs
+    raise AssertionError("oracle window did not settle")
+
+
+@pytest.mark.parametrize("extra", [
+    dict(parabolic_scheme="implicit_euler"),
+    dict(parabolic_scheme="crank_nicolson"),
+    dict(parabolic_scheme="implicit_euler", **SQUARE),
+    dict(parabolic_scheme="crank_nicolson", **SQUARE),
+], ids=["1d-implicit_euler", "1d-crank_nicolson", "2d-implicit_euler", "2d-crank_nicolson"])
+def test_array_window_matches_field_loop_bit_for_bit(extra):
+    s = make_scenario(**extra)
+    grid = s.grid()
+    kernel = make_kernel(s.ell, grid)
+    u0, w0 = s.initial_fields(grid)
+    # a window off the origin, so the step times carry rounding
+    t0, t1 = 7 * s.dt, 15 * s.dt
+    u_ref, w_ref, diffs = oracle_window(s, grid, kernel, t0, t1, u0, w0)
+    u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u0, w0,
+                                     s.picard_tol, s.picard_max_iter)
+    assert len(diffs) > 1
+    assert wlog.diffs == tuple(diffs)
+    assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
+    assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
+
+
+def test_array_march_raises_cfl_violation():
+    g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
+    fast = ConstantVectorSeries(VectorField(g, np.full((1, 32), 100.0)))
+    with pytest.raises(CflViolation):
+        solve_hyperbolic(TransportProblem(g, fast, None, None, zeros(g)), 0.05, 0.01)
+
+
+def test_array_march_raises_stiff_reaction():
+    g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
+    stiff = ConstantFieldSeries(Field(g, np.full(32, 200.0)))
+    problem = ParabolicProblem(g, 0.1, stiff, None, zeros(g))
+    with pytest.raises(StiffReaction):
+        solve_parabolic(problem, 0.05, Scheme("implicit_euler", 0.01))
+
+
+def test_array_march_rejects_nonfinite_output():
+    g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
+    huge = Field(g, np.full(32, 1e300))
+    still = ConstantVectorSeries(VectorField(g, np.zeros((1, 32))))
+    growth = ConstantFieldSeries(Field(g, np.full(32, 1e10)))
+    with pytest.raises(GridError, match="non-finite"):
+        solve_hyperbolic(TransportProblem(g, still, growth, None, huge), 0.05, 0.01)
+
+
+def test_window_freeze_error_carries_alpha_key_path():
+    s = make_scenario(alpha=ex.parse("1/w", ex.Slot.ALPHA), w0=ex.parse("0", ex.Slot.INIT))
+    grid = s.grid()
+    u0, w0 = s.initial_fields(grid)
+    with pytest.raises(ex.NonFiniteValue, match=r"\[coefficients\.alpha\]"):
+        picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0,
+                      s.picard_tol, s.picard_max_iter)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -176,3 +177,24 @@ def test_seed_round_trips():
     s = replace(parse_scenario_text(MINIMAL), seed=17)
     assert parse_scenario_text(scenario_to_text(s)).seed == 17
     assert parse_scenario_text(scenario_to_text(s)) == s
+
+
+def test_saturated_ledger_writes_strict_json(tmp_path, caplog):
+    # a huge declared K_alpha overflows the u variation constant: the bound
+    # saturates at the largest float (valid JSON) and the run says so
+    s = parse_scenario_text(MINIMAL.replace("K_alpha = 1.0", "K_alpha = 1e6"))
+    trace = solve_coupled(s)
+    with caplog.at_level("WARNING", logger="predprey.coupling"):
+        report = compute_bounds_report(trace, s)
+    paths = write_run_artifacts(trace, report, s, str(tmp_path))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(open(paths.bounds_json).read(), parse_constant=reject)
+    check = next(c for c in payload["checks"] if c["name"] == "u_tv_iteration")
+    assert check["passed"]
+    assert max(check["rhs"]) == sys.float_info.max
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "u_tv_iteration" in warnings[0] and "saturated" in warnings[0]

@@ -378,11 +378,9 @@ class TestWeakResidual:
         prob = TransportProblem(g, const_velocity(g, 1.0), None, None, Field(g, u0_vals))
         T = 0.5
         times = np.linspace(0, T, 65)
-        fields = tuple(
-            Field(g, characteristics_solution_field(prob, t, dt_ode=5e-3).values)
-            for t in times
-        )
-        trace = Trace(times, fields)
+        values = np.array([characteristics_solution_field(prob, t, dt_ode=5e-3).values
+                           for t in times])
+        trace = Trace(g, times, values)
         res = weak_residual_hyperbolic(trace, prob, default_family(T, 1))
         assert np.max(np.abs(res)) < 1e-4
 
