@@ -31,10 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expressions as ex
+from . import parabolic, transport
 from .grid import (DomainSpec, Field, Grid, build_grid, interior_variation,
                    l1_norms, linf_norms, norm_l1, norm_linf, total_variation,
                    total_variations)
-from .parabolic import ParabolicProblem, Scheme, coefficient_times, solve_parabolic
+from .parabolic import ParabolicProblem, Scheme, solve_parabolic
 from .series import (SampledFieldSeries, SampledVectorSeries, Trace,
                      cumulative_left_riemann)
 from .transport import TransportProblem, solve_hyperbolic
@@ -132,14 +133,6 @@ class CoupledTrace:
         return self.u.grid
 
     @property
-    def u_fields(self) -> tuple[Field, ...]:
-        return self.u.fields
-
-    @property
-    def w_fields(self) -> tuple[Field, ...]:
-        return self.w.fields
-
-    @property
     def u_l1(self) -> np.ndarray:
         return self.u.l1
 
@@ -220,9 +213,10 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     scheme = scenario.scheme()
     # the controls do not depend on the iterate: sample them once, at the
     # times each solver evaluates its source
-    a_series = _sampled_control(scenario.a, "coefficients.a", grid, times[:-1])
+    a_series = _sampled_control(scenario.a, "coefficients.a", grid,
+                                transport.coefficient_times(times))
     b_series = _sampled_control(scenario.b, "coefficients.b", grid,
-                                coefficient_times(times, scheme.kind))
+                                parabolic.coefficient_times(times, scheme.kind))
     diffs: list[float] = []
     for iteration in range(1, max_iter + 1):
         c_ser, A_ser, B_ser = freeze_coefficients(u_prev, w_prev, scenario, kernel)
@@ -302,9 +296,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _saturate(x: np.ndarray) -> np.ndarray:
-    """Products of capped exponentials can still overflow: hold them at the
-    largest float, which keeps them finite and JSON-safe.  Call under
-    np.errstate(over="ignore")."""
+    """Products of capped exponentials can still overflow to inf: the ledger
+    holds such values at the largest float, which keeps them finite and
+    JSON-safe without changing any verdict."""
     return np.minimum(x, _FLOAT_MAX)
 
 
@@ -343,19 +337,21 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
                         c_v: float, tv_par: float, tv_hyp: float) -> IterationConstants:
     t = data.times - data.times[0]
     ka, kb = scenario.k_alpha, scenario.k_beta
+    # products of capped exponentials may overflow to inf; the report
+    # saturates what it grades and writes
     with np.errstate(over="ignore"):
-        c_w1 = _saturate(_safe_exp(kb * t) * (data.w0_l1 + data.int_b_l1))
-        c_winf = _saturate(_safe_exp(kb * t) * (data.w0_sup + data.int_b_sup))
-        c_wtv = _saturate(data.w0_tv + data.int_b_tv + tv_par * np.sqrt(t) * kb * c_w1)
+        c_w1 = _safe_exp(kb * t) * (data.w0_l1 + data.int_b_l1)
+        c_winf = _safe_exp(kb * t) * (data.w0_sup + data.int_b_sup)
+        c_wtv = data.w0_tv + data.int_b_tv + tv_par * np.sqrt(t) * kb * c_w1
         u_rate = ka * t * (1.0 + c_winf)
-        c_u1 = _saturate((data.u0_l1 + data.int_a_l1) * _safe_exp(u_rate))
-        c_uinf = _saturate((data.u0_sup + data.int_a_sup) * _safe_exp(u_rate + k_v * t * c_w1))
-        c_utv = _saturate(_safe_exp(u_rate + k_v * t * c_w1)
-                          * (data.u0_tv + tv_hyp * data.u0_sup + data.int_a_tv)
-                          + c_uinf * (ka * t * (1.0 + c_winf + c_wtv) + t * c_v * c_w1))
-        c_uw = _saturate(kb * _safe_exp(t * kb) * c_winf
-                         + c_u1 * c_v + c_utv
-                         + ka * _safe_exp(u_rate) * (data.u0_sup + data.int_a_sup))
+        c_u1 = (data.u0_l1 + data.int_a_l1) * _safe_exp(u_rate)
+        c_uinf = (data.u0_sup + data.int_a_sup) * _safe_exp(u_rate + k_v * t * c_w1)
+        c_utv = (_safe_exp(u_rate + k_v * t * c_w1)
+                 * (data.u0_tv + tv_hyp * data.u0_sup + data.int_a_tv)
+                 + c_uinf * (ka * t * (1.0 + c_winf + c_wtv) + t * c_v * c_w1))
+        c_uw = (kb * _safe_exp(t * kb) * c_winf
+                + c_u1 * c_v + c_utv
+                + ka * _safe_exp(u_rate) * (data.u0_sup + data.int_a_sup))
     return IterationConstants(data.times, c_w1, c_winf, c_wtv, c_u1, c_uinf, c_utv, c_uw)
 
 
@@ -623,13 +619,8 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
         schema_version=1,
         times=[float(v) for v in trace.times],
         constants={
-            "c_w1": [float(v) for v in consts.c_w1],
-            "c_winf": [float(v) for v in consts.c_winf],
-            "c_wtv": [float(v) for v in consts.c_wtv],
-            "c_u1": [float(v) for v in consts.c_u1],
-            "c_uinf": [float(v) for v in consts.c_uinf],
-            "c_utv": [float(v) for v in consts.c_utv],
-            "c_uw": [float(v) for v in consts.c_uw],
+            **{name: [float(v) for v in _saturate(getattr(consts, name))]
+               for name in ("c_w1", "c_winf", "c_wtv", "c_u1", "c_uinf", "c_utv", "c_uw")},
             "c_theorem": [c_thm] * len(trace.times),
         },
         checks=checks,
@@ -645,7 +636,7 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
             "beta_exceeds_declared": bool(k_beta_emp > scenario.k_beta * (1 + 1e-6)),
             "alpha_tv_exceeds_bound": bool(alpha_tv_q > 1.0 + 1e-6),
         },
-        contraction_constant=float(consts.c_uw[idx]),
+        contraction_constant=float(_saturate(consts.c_uw[idx])),
         window_size=float(window_size),
         tv_const_parabolic=TV_CONST_PARABOLIC,
         tv_const_hyperbolic=TV_CONST_HYPERBOLIC,

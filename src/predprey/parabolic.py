@@ -155,12 +155,12 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
 
 
 def _dirichlet_laplacian_1d(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
+    v = values.swapaxes(0, axis)
     lap = np.empty_like(v)
     lap[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
     lap[0] = v[1] - 3.0 * v[0]      # ghost = -v[0]: zero at the wall
     lap[-1] = v[-2] - 3.0 * v[-1]
-    return np.moveaxis(lap, 0, axis) / dx**2
+    return lap.swapaxes(0, axis) / dx**2
 
 
 def dirichlet_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -240,10 +240,7 @@ def _march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
             reaction = reaction + B[k] * w
         if b is not None:
             reaction = reaction + b[k]
-        if dim == 1 and kind == "implicit_euler":
-            # theta = 1: no explicit diffusion term
-            out[k + 1] = _solve_axis(w + dt * reaction, band[0], axis=0)
-        elif dim == 1:
+        if dim == 1:
             rhs = w + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w, grid) + reaction)
             out[k + 1] = _solve_axis(rhs, band[0], axis=0)
         elif kind == "implicit_euler":

@@ -83,23 +83,18 @@ def _interpolate(times: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.nd
     """Snapshots ``values`` (one per entry of ``times``) blended linearly at ``ts``.
 
     Clamped outside [times[0], times[-1]]; a query that lands on a stored
-    time returns that snapshot unblended.  The result may be a view of
-    ``values``.
+    time returns that snapshot unblended.
     """
     ts = np.asarray(ts, dtype=float)
-    if len(ts) <= len(times) and np.array_equal(ts, times[:len(ts)]):
-        return values[:len(ts)]
-    i0 = np.where(ts >= times[-1], len(times) - 1, 0)
-    inside = np.flatnonzero((ts > times[0]) & (ts < times[-1]))
-    i1 = np.searchsorted(times, ts[inside], side="right")
-    lam = (ts[inside] - times[i1 - 1]) / (times[i1] - times[i1 - 1])
-    i0[inside] = i1 - 1
+    # last stored time <= ts; the first one for ts before the range
+    i0 = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
     out = values[i0]
-    blend = lam != 0.0
-    if np.any(blend):
-        j1 = i1[blend]
-        weight = lam[blend].reshape((-1,) + (1,) * (values.ndim - 1))
-        out[inside[blend]] = (1 - weight) * values[j1 - 1] + weight * values[j1]
+    blend = np.flatnonzero((ts != times[i0]) & (ts > times[0]) & (ts < times[-1]))
+    if blend.size:
+        j = i0[blend]
+        lam = (ts[blend] - times[j]) / (times[j + 1] - times[j])
+        weight = lam.reshape((-1,) + (1,) * (values.ndim - 1))
+        out[blend] = (1 - weight) * values[j] + weight * values[j + 1]
     return out
 
 
@@ -170,10 +165,6 @@ class Trace:
     @cached_property
     def tv(self) -> np.ndarray:
         return total_variations(self.values, self.grid)
-
-    @cached_property
-    def fields(self) -> tuple[Field, ...]:
-        return tuple(Field(self.grid, v) for v in self.values)
 
     def final(self) -> Field:
         return Field(self.grid, self.values[-1])

@@ -342,6 +342,11 @@ def fv_upwind_step(u: Field, c_t: VectorField, A_t: Field | None, a_t: Field | N
     return Field(u.grid, states[1])
 
 
+def coefficient_times(times: np.ndarray) -> np.ndarray:
+    """Where each step evaluates c, A and a: the left end of the step."""
+    return times[:-1]
+
+
 def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
                      t_start: float = 0.0) -> Trace:
     """Upwind march from t_start to t_start + T, trace stored every step.
@@ -350,7 +355,7 @@ def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
     the whole march in one ``stack`` call per series.
     """
     times = step_times(T, dt, t_start)
-    left = times[:-1]
+    left = coefficient_times(times)
     states = _march_upwind(
         problem.u0.values, problem.c.stack(left),
         problem.A.stack(left) if problem.A is not None else None,

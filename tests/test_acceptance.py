@@ -102,7 +102,7 @@ def test_03_parabolic_bounds_and_positivity():
             with np.errstate(invalid="ignore", divide="ignore"):
                 rel = np.where(check.rhs > 0, check.margins / check.rhs, 0.0)
             worst_slack = min(worst_slack, float(np.min(rel)))
-        trace_min = min(float(np.min(f.values)) for f in trace.fields)
+        trace_min = min(float(np.min(v)) for v in trace.values)
         worst_min = min(worst_min, trace_min)
         assert trace_min >= -1e-12
     elapsed = time.monotonic() - start
@@ -184,7 +184,7 @@ def test_06_fv_vs_oracle_convergence():
         errors.append(norm_l1(Field(g, fv.final().values - oracle.values)))
         bounds = check_hyperbolic_bounds(fv, prob)
         assert bounds.all_passed(1e-6)
-        assert min(float(np.min(f.values)) for f in fv.fields) >= -1e-12
+        assert min(float(np.min(v)) for v in fv.values) >= -1e-12
     order = -np.polyfit(np.log([64, 128, 256]), np.log(errors), 1)[0]
     elapsed = time.monotonic() - start
     assert order >= 0.8
@@ -263,8 +263,8 @@ def test_10_decoupling_equivalence():
         j = int(round(t / scenario.dt))
         worst = max(
             worst,
-            norm_l1(Field(grid, trace.w_fields[i].values - w_ref.fields[j].values)),
-            norm_l1(Field(grid, trace.u_fields[i].values - u_ref.fields[j].values)),
+            norm_l1(Field(grid, trace.w.values[i] - w_ref.values[j])),
+            norm_l1(Field(grid, trace.u.values[i] - u_ref.values[j])),
         )
     elapsed = time.monotonic() - start
     assert worst < 1e-8

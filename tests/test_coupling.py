@@ -79,7 +79,7 @@ class TestPicardWindow:
         u_tr, w_tr, wlog = picard_window(s, grid, kernel, 0.0, 0.05, u0, w0,
                                          tol=1e-8, max_iter=5)
         assert wlog.iterations == 1
-        assert all(np.all(f.values == 0.0) for f in u_tr.fields)
+        assert all(np.all(v == 0.0) for v in u_tr.values)
 
     def test_decoupled_constant_coefficients_two_iterations(self):
         s = make_scenario(alpha=ex.parse("0.2", ex.Slot.ALPHA),
@@ -150,8 +150,8 @@ class TestSolveCoupled:
                                  s.horizon, s.dt)
         for i, t in enumerate(trace.times):
             j = int(round(t / s.dt))
-            dw = norm_l1(Field(grid, trace.w_fields[i].values - w_ref.fields[j].values))
-            du = norm_l1(Field(grid, trace.u_fields[i].values - u_ref.fields[j].values))
+            dw = norm_l1(Field(grid, trace.w.values[i] - w_ref.values[j]))
+            du = norm_l1(Field(grid, trace.u.values[i] - u_ref.values[j]))
             assert dw < 1e-8
             assert du < 1e-8
 
@@ -160,11 +160,11 @@ class TestSolveCoupled:
         t1 = solve_coupled(s, initial_iterate="datum")
         t2 = solve_coupled(s, initial_iterate="zero")
         dist = max(
-            norm_l1(Field(t1.grid, a.values - b.values))
-            for a, b in zip(t1.u_fields, t2.u_fields)
+            norm_l1(Field(t1.grid, a - b))
+            for a, b in zip(t1.u.values, t2.u.values)
         ) + max(
-            norm_l1(Field(t1.grid, a.values - b.values))
-            for a, b in zip(t1.w_fields, t2.w_fields)
+            norm_l1(Field(t1.grid, a - b))
+            for a, b in zip(t1.w.values, t2.w.values)
         )
         assert dist < 2 * s.picard_tol
 

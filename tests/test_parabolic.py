@@ -161,7 +161,7 @@ class TestSolve:
         g = grid1d(32)
         prob = ParabolicProblem(g, 0.1, None, None, zeros(g))
         trace = solve_parabolic(prob, 0.1, Scheme("crank_nicolson", 1e-2))
-        assert all(np.all(f.values == 0.0) for f in trace.fields)
+        assert all(np.all(v == 0.0) for v in trace.values)
 
     def test_l1_decay_without_source(self):
         g = grid1d(128)
@@ -213,7 +213,7 @@ class TestBounds:
             assert report.l1.passed(1e-6)
             assert report.linf.passed(1e-6)
             assert report.tv.passed(1e-6)
-            assert min(np.min(f.values) for f in trace.fields) >= -1e-12
+            assert min(np.min(v) for v in trace.values) >= -1e-12
 
 
 class TestStability:

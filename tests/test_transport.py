@@ -218,7 +218,7 @@ class TestUpwind:
         oracle = characteristics_solution_field(prob, T, dt_ode=5e-3)
         err = norm_l1(Field(g, trace.final().values - oracle.values))
         assert err < 0.02
-        assert min(np.min(f.values) for f in trace.fields) >= -1e-12
+        assert min(np.min(v) for v in trace.values) >= -1e-12
 
 
 class TestBoundsChecks:
@@ -258,7 +258,7 @@ class TestBoundsChecks:
             dt = min(0.45 * g.dx[0] / max(cmax, 1e-9), 0.2 / 10)
             trace = solve_hyperbolic(prob, 0.2, dt)
             assert check_hyperbolic_bounds(trace, prob).all_passed()
-            assert min(np.min(f.values) for f in trace.fields) >= -1e-12
+            assert min(np.min(v) for v in trace.values) >= -1e-12
 
 
 class TestStabilityExperiments:
