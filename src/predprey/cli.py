@@ -9,8 +9,10 @@ Subcommands::
     predprey convergence    --scenario S --out DIR --resolutions 64,128,256
     predprey oracle-compare --scenario S --out DIR --resolutions 64,128,256
 
-Exit code 0 on success; 1 on scenario errors, window collapse, or non-finite
-evaluation, with the failing key path on stderr.
+Exit code 0 on success; 1 on scenario errors, window collapse, non-finite
+evaluation, a step too large for the CFL or reaction limit (``time.dt``), a
+kernel horizon too small for the grid (``model.ell``) or a solution that
+overflows, with the failing key path on stderr.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from . import expressions as ex
 from .coupling import (Scenario, WindowCollapse, compute_bounds_report,
                        lipschitz_in_data_experiment, solve_coupled,
                        stability_in_controls_experiment)
+from .grid import NonFiniteField
+from .parabolic import StiffReaction
 from .scenario_io import (ScenarioError, load_scenario, write_bounds_json,
                           write_run_artifacts)
 from .studies import hyperbolic_oracle_study, parabolic_duhamel_study
+from .transport import CflViolation
+from .velocity import HorizonTooSmall
 
 log = logging.getLogger("predprey")
 
@@ -210,8 +216,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ScenarioError, ex.ExprError, WindowCollapse) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    # solver limits met at run time, named by the scenario key that sets them
+    except (CflViolation, StiffReaction) as exc:
+        message = f"[time.dt] {exc}"
+    except HorizonTooSmall as exc:
+        message = f"[model.ell] {exc}"
+    except NonFiniteField as exc:
+        message = f"[scenario] {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -9,13 +9,16 @@ constant estimate and halved whenever an iteration fails to settle; the
 final iterate of each window seeds the next, making the stitched trace
 continuous at the joints by construction.
 
-Each Picard window is array-backed: an iterate is one (n_steps+1,
-*grid.shape) array per species.  Freezing the coefficients on it is one
-batched convolution for the velocity and one broadcast evaluation each for
-alpha and beta; the controls a and b do not depend on the iterate and are
-sampled once per window; the two solvers fetch their coefficients as stacks
-and march raw arrays; the Picard difference is one reduction over the time
-axis.  The windows are written into two arrays covering the whole horizon.
+Each Picard window is array-backed and planned once: the step times, each
+solver's step sizes and the controls a and b (which do not depend on the
+iterate) are fixed before iterating.  An iterate is one (n_steps+1,
+*grid.shape) array per species.  Each iteration freezes the coefficients on
+it (one batched convolution for the velocity, one broadcast evaluation each
+for alpha and beta), passes the rows each step reads straight to the
+transport and parabolic march kernels, checks the marched stacks for
+finiteness and takes the Picard difference as one reduction over the time
+axis; only the converged iterate is wrapped in Traces.  The windows are
+written into two arrays covering the whole horizon.
 
 The BoundsReport assembles every a-priori constant of the underlying
 estimates from scenario data (with empirically sampled constants standing
@@ -33,12 +36,10 @@ import numpy as np
 from . import expressions as ex
 from . import parabolic, transport
 from .grid import (DomainSpec, Field, Grid, build_grid, interior_variation,
-                   l1_norms, linf_norms, norm_l1, norm_linf, total_variation,
-                   total_variations)
-from .parabolic import ParabolicProblem, Scheme, solve_parabolic
-from .series import (SampledFieldSeries, SampledVectorSeries, Trace,
-                     cumulative_left_riemann)
-from .transport import TransportProblem, solve_hyperbolic
+                   l1_norms, linf_norms, norm_l1, norm_linf, require_finite,
+                   total_variation, total_variations)
+from .parabolic import Scheme
+from .series import Trace, cumulative_left_riemann, step_times
 from .velocity import (Kernel, HypothesisVReport, drift_velocity, make_kernel,
                        verify_hypothesis_v)
 
@@ -166,27 +167,21 @@ def sample_keyed(expr: ex.Expr, key: str, grid: Grid, times,
         raise ex.NonFiniteValue(f"[{key}] {exc}") from None
 
 
-def freeze_coefficients(u_trace: Trace, w_trace: Trace, scenario: Scenario,
-                        kernel: Kernel):
-    """Velocity/reaction series frozen at the iterate's snapshots.
+def freeze_coefficients(times: np.ndarray, u: np.ndarray, w: np.ndarray,
+                        scenario: Scenario, kernel: Kernel):
+    """Velocity, alpha and beta frozen at an iterate's snapshots.
 
-    The velocity is computed from every stored w snapshot in one batched
-    convolution, alpha and beta in one broadcast evaluation each; in between
-    snapshots the series interpolate linearly in time.
+    ``u`` and ``w`` hold one snapshot per entry of ``times``, shape
+    (len(times), *grid.shape).  Returns the coefficient snapshots at the
+    same times: the velocity, shape (len(times), dim, *grid.shape), from one
+    batched convolution, and alpha and beta, shape (len(times),
+    *grid.shape), from one broadcast evaluation each.
     """
-    grid, times = w_trace.grid, w_trace.times
-    c = drift_velocity(w_trace.values, kernel, scenario.kappa, scenario.attract)
-    A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w_trace.values)
-    B = sample_keyed(scenario.beta, "coefficients.beta", grid, times,
-                     u=u_trace.values, w=w_trace.values)
-    return (SampledVectorSeries(grid, times, c),
-            SampledFieldSeries(grid, times, A),
-            SampledFieldSeries(grid, times, B))
-
-
-def _sampled_control(expr: ex.Expr, key: str, grid: Grid,
-                     times: np.ndarray) -> SampledFieldSeries:
-    return SampledFieldSeries(grid, times, sample_keyed(expr, key, grid, times))
+    grid = kernel.grid
+    c = drift_velocity(w, kernel, scenario.kappa, scenario.attract)
+    A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w)
+    B = sample_keyed(scenario.beta, "coefficients.beta", grid, times, u=u, w=w)
+    return c, A, B
 
 
 def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
@@ -198,9 +193,7 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     NoContraction when the budget runs out, signalling the window is too
     long for the contraction available.
     """
-    span = t1 - t0
-    n_steps = int(round(span / scenario.dt))
-    times = t0 + scenario.dt * np.arange(n_steps + 1)
+    times = step_times(t1 - t0, scenario.dt, t0)
     if initial_iterate == "datum":
         u_start, w_start = u_init.values, w_init.values
     elif initial_iterate == "zero":
@@ -208,31 +201,33 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     else:
         raise ValueError(f"unknown initial iterate {initial_iterate!r}")
     stacked = (len(times),) + grid.shape
-    u_prev = Trace(grid, times, np.broadcast_to(u_start, stacked))
-    w_prev = Trace(grid, times, np.broadcast_to(w_start, stacked))
+    u_prev = np.broadcast_to(u_start, stacked)
+    w_prev = np.broadcast_to(w_start, stacked)
     scheme = scenario.scheme()
-    # the controls do not depend on the iterate: sample them once, at the
-    # times each solver evaluates its source
-    a_series = _sampled_control(scenario.a, "coefficients.a", grid,
-                                transport.coefficient_times(times))
-    b_series = _sampled_control(scenario.b, "coefficients.b", grid,
-                                parabolic.coefficient_times(times, scheme.kind))
+    kind = scheme.kind
+    # fixed for the window: each solver's step sizes, and the controls (which
+    # do not depend on the iterate) at the times each solver evaluates them
+    u_dts = np.diff(times)
+    w_dts = parabolic.step_sizes(times, scheme.dt)
+    a = sample_keyed(scenario.a, "coefficients.a", grid, transport.coefficient_times(times))
+    b = sample_keyed(scenario.b, "coefficients.b", grid,
+                     parabolic.coefficient_times(times, kind))
     diffs: list[float] = []
     for iteration in range(1, max_iter + 1):
-        c_ser, A_ser, B_ser = freeze_coefficients(u_prev, w_prev, scenario, kernel)
-        u_next = solve_hyperbolic(
-            TransportProblem(grid, c_ser, A_ser, a_series, u_init), span, scenario.dt, t0
-        )
-        w_next = solve_parabolic(
-            ParabolicProblem(grid, scenario.mu, B_ser, b_series, w_init), span, scheme, t0
-        )
-        diff = float(np.max(l1_norms(u_next.values - u_prev.values, grid)
-                            + l1_norms(w_next.values - w_prev.values, grid)))
+        c, A, B = freeze_coefficients(times, u_prev, w_prev, scenario, kernel)
+        u_next = transport.march_upwind(u_init.values, transport.coefficient_rows(c),
+                                        transport.coefficient_rows(A), a, u_dts, grid)
+        require_finite(u_next)
+        w_next = parabolic.march_imex(w_init.values, parabolic.coefficient_rows(times, B, kind),
+                                      b, w_dts, scenario.mu, kind, grid)
+        require_finite(w_next)
+        diff = float(np.max(l1_norms(u_next - u_prev, grid) + l1_norms(w_next - w_prev, grid)))
         diffs.append(diff)
         log.debug("window [%g, %g] iteration %d diff %.3e", t0, t1, iteration, diff)
         u_prev, w_prev = u_next, w_next
         if diff < tol:
-            return u_next, w_next, WindowLog(t0, t1, tuple(diffs), True)
+            return (Trace(grid, times, u_next), Trace(grid, times, w_next),
+                    WindowLog(t0, t1, tuple(diffs), True))
     raise NoContraction(
         f"window [{t0:g}, {t1:g}] did not settle in {max_iter} iterations "
         f"(last differences {diffs[-3:]})"

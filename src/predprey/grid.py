@@ -20,6 +20,10 @@ class GridError(ValueError):
     """Invalid domain or grid construction parameters."""
 
 
+class NonFiniteField(GridError):
+    """Grid data, typically a computed solution, holds inf or nan."""
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Axis-aligned box: one (lo, hi) pair per axis; 1 or 2 axes."""
@@ -150,9 +154,9 @@ def full(grid: Grid, value: float) -> Field:
 
 
 def require_finite(values: np.ndarray, what: str = "field") -> None:
-    """Raise GridError when grid data holds inf or nan."""
+    """Raise NonFiniteField when grid data holds inf or nan."""
     if not np.all(np.isfinite(values)):
-        raise GridError(f"{what} contains non-finite values")
+        raise NonFiniteField(f"{what} contains non-finite values")
 
 
 # The stack norms below take one field of shape grid.shape or a stack of

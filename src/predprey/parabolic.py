@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .grid import Field, Grid, l1_norms, norm_l1, norm_linf, require_finite, total_variation
-from .series import FieldSeries, Trace, cumulative_left_riemann, step_times
+from .series import FieldSeries, Trace, cumulative_left_riemann, interpolate, step_times
 from .testfunctions import SineTestFunction
 
 
@@ -199,23 +199,39 @@ def coefficient_times(times: np.ndarray, kind: str) -> np.ndarray:
     return times[:-1]
 
 
+def coefficient_rows(times: np.ndarray, snapshots: np.ndarray, kind: str) -> np.ndarray:
+    """Coefficient snapshots stored at the step times ``times``, one row per
+    step at its coefficient_times: the stored left-end row for backward
+    Euler, the blend of the step's two ends for the trapezoidal scheme."""
+    if kind == "crank_nicolson":
+        return interpolate(times, snapshots, coefficient_times(times, kind))
+    return snapshots[:-1]
+
+
+def step_sizes(times: np.ndarray, dt: float) -> np.ndarray:
+    """The steps between ``times``, each within 1e-15 of dt snapped to dt,
+    so that they share one set of tridiagonal bands."""
+    steps = np.diff(times)
+    return np.where(np.abs(steps - dt) < 1e-15, dt, steps)
+
+
 # a state that overflows is rejected once, when the returned stack is
 # validated; the steps after it would only repeat the warning
 @np.errstate(over="ignore", invalid="ignore")
-def _march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
-                dts: np.ndarray, mu: float, kind: str, grid: Grid) -> np.ndarray:
+def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
+               dts: np.ndarray, mu: float, kind: str, grid: Grid) -> np.ndarray:
     """IMEX steps in arrays; 2D handled by alternating-direction tridiagonal sweeps.
 
     Step k uses B[k], b[k] (either may be None for 0) and dts[k]; returns
-    every state, shape (len(dts)+1, *grid.shape), unchecked: the caller's
-    Trace or Field validates them.  Backward Euler in 2D uses
-    sequential fully implicit sweeps (keeps the sign-preservation argument
-    of the 1D solve); the trapezoidal scheme uses the Douglas splitting,
-    second order in space with a first-order splitting remainder.  The
-    tridiagonal bands are built once per step size.  Backward Euler needs
-    dt * max|B| < 1 at every step: the march stops before the first step
-    that breaks it and, once the states before it are known to be finite,
-    raises StiffReaction.
+    every state, shape (len(dts)+1, *grid.shape), unchecked: the caller
+    validates them (a Trace or Field does, or ``require_finite``).
+    Backward Euler in 2D uses sequential fully implicit sweeps (keeps the
+    sign-preservation argument of the 1D solve); the trapezoidal scheme
+    uses the Douglas splitting, second order in space with a first-order
+    splitting remainder.  The tridiagonal bands are built once per step
+    size.  Backward Euler needs dt * max|B| < 1 at every step: the march
+    stops before the first step that breaks it and, once the states before
+    it are known to be finite, raises StiffReaction.
     """
     n, dim = len(dts), grid.dim
     theta = 1.0 if kind == "implicit_euler" else 0.5
@@ -261,10 +277,10 @@ def _march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
 
 def step_parabolic(w: Field, B_t: Field | None, b_t: Field | None, mu: float,
                    scheme: Scheme) -> Field:
-    """One IMEX step of size scheme.dt (see _march_imex)."""
-    states = _march_imex(w.values, None if B_t is None else B_t.values[None],
-                         None if b_t is None else b_t.values[None],
-                         np.array([scheme.dt]), mu, scheme.kind, w.grid)
+    """One IMEX step of size scheme.dt (see march_imex)."""
+    states = march_imex(w.values, None if B_t is None else B_t.values[None],
+                        None if b_t is None else b_t.values[None],
+                        np.array([scheme.dt]), mu, scheme.kind, w.grid)
     return Field(w.grid, states[1])
 
 
@@ -277,14 +293,12 @@ def solve_parabolic(problem: ParabolicProblem, T: float, scheme: Scheme,
     steps are fetched in one ``stack`` call per series.
     """
     times = step_times(T, scheme.dt, t_start)
-    steps = np.diff(times)
-    dts = np.where(np.abs(steps - scheme.dt) < 1e-15, scheme.dt, steps)
     t_coeff = coefficient_times(times, scheme.kind)
-    states = _march_imex(
+    states = march_imex(
         problem.w0.values,
         problem.B.stack(t_coeff) if problem.B is not None else None,
         problem.b.stack(t_coeff) if problem.b is not None else None,
-        dts, problem.mu, scheme.kind, problem.grid,
+        step_sizes(times, scheme.dt), problem.mu, scheme.kind, problem.grid,
     )
     return Trace(problem.grid, times, states)
 

@@ -22,6 +22,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import expressions as ex
 from .coupling import BoundsReport, CoupledTrace, Scenario
 from .grid import DomainSpec
@@ -271,21 +273,23 @@ def write_norms_csv(trace: CoupledTrace, path: str, every: int = 1) -> None:
 def write_snapshots(trace: CoupledTrace, directory: str, every: int = 1) -> None:
     os.makedirs(directory, exist_ok=True)
     grid = trace.grid
+    columns = ["x", "y"][: grid.dim] + ["u", "w"]
+    # one row per cell: its coordinates, u, w; '%.17g' % v is _fmt(v)
     coords = grid.center_points()
-    coord_names = ["x", "y"][: grid.dim]
+    table = np.empty((len(coords), len(columns)))
+    table[:, : grid.dim] = coords
+    body = "\n".join([",".join(["%.17g"] * len(columns))] * len(table))
     indices = list(range(0, len(trace.times), every))
     if indices[-1] != len(trace.times) - 1:
         indices.append(len(trace.times) - 1)
     for snap_no, i in enumerate(indices):
-        rows = [",".join(coord_names + ["u", "w"])]
-        u = trace.u.values[i].ravel()
-        w = trace.w.values[i].ravel()
-        for c_row, uv, wv in zip(coords, u, w):
-            rows.append(",".join([_fmt(c) for c in c_row] + [_fmt(uv), _fmt(wv)]))
+        table[:, -2] = trace.u.values[i].ravel()
+        table[:, -1] = trace.w.values[i].ravel()
         name = os.path.join(directory, f"snapshot_{snap_no:04d}.csv")
         with open(name, "w", encoding="ascii") as handle:
             handle.write(f"{SNAPSHOT_HEADER} t={_fmt(trace.times[i])}\n")
-            handle.write("\n".join(rows) + "\n")
+            handle.write(",".join(columns) + "\n")
+            handle.write(body % tuple(table.ravel().tolist()) + "\n")
 
 
 def write_bounds_json(report: BoundsReport, path: str) -> None:

@@ -79,7 +79,7 @@ class ConstantVectorSeries(VectorSeries):
         return _broadcast(self.value.components, times)
 
 
-def _interpolate(times: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def interpolate(times: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Snapshots ``values`` (one per entry of ``times``) blended linearly at ``ts``.
 
     Clamped outside [times[0], times[-1]]; a query that lands on a stored
@@ -110,7 +110,7 @@ class SampledFieldSeries(FieldSeries):
         return Field(self.grid, self.stack(np.array([t]))[0])
 
     def stack(self, times: np.ndarray) -> np.ndarray:
-        return _interpolate(self.times, self.values, times)
+        return interpolate(self.times, self.values, times)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class SampledVectorSeries(VectorSeries):
         return VectorField(self.grid, self.stack(np.array([t]))[0])
 
     def stack(self, times: np.ndarray) -> np.ndarray:
-        return _interpolate(self.times, self.values, times)
+        return interpolate(self.times, self.values, times)
 
 
 @dataclass(frozen=True)

@@ -294,13 +294,14 @@ def _upwind_sweep(v: np.ndarray, faces: tuple[np.ndarray, ...], dt: float,
 # a state that overflows is rejected once, when the returned stack is
 # validated; the steps after it would only repeat the warning
 @np.errstate(over="ignore", invalid="ignore")
-def _march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
-                  a: np.ndarray | None, dts: np.ndarray, grid: Grid) -> np.ndarray:
+def march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
+                 a: np.ndarray | None, dts: np.ndarray, grid: Grid) -> np.ndarray:
     """Dimension-split upwind steps with explicit Euler source, all in arrays.
 
     Step k uses c[k] (dim, *grid.shape), A[k], a[k] (grid.shape, either may
     be None for 0) and dts[k]; returns every state, shape (len(dts)+1,
-    *grid.shape), unchecked: the caller's Trace or Field validates them.
+    *grid.shape), unchecked: the caller validates them (a Trace or Field
+    does, or ``require_finite``).
     The CFL limit is checked for all steps up front; the march stops before
     the first violating step and, once the states before it are known to be
     finite, raises CflViolation.
@@ -335,16 +336,22 @@ def _march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
 def fv_upwind_step(u: Field, c_t: VectorField, A_t: Field | None, a_t: Field | None,
                    dt: float) -> Field:
     """One dimension-split upwind step with explicit Euler source."""
-    states = _march_upwind(u.values, c_t.components[None],
-                           None if A_t is None else A_t.values[None],
-                           None if a_t is None else a_t.values[None],
-                           np.array([dt]), u.grid)
+    states = march_upwind(u.values, c_t.components[None],
+                          None if A_t is None else A_t.values[None],
+                          None if a_t is None else a_t.values[None],
+                          np.array([dt]), u.grid)
     return Field(u.grid, states[1])
 
 
 def coefficient_times(times: np.ndarray) -> np.ndarray:
     """Where each step evaluates c, A and a: the left end of the step."""
     return times[:-1]
+
+
+def coefficient_rows(snapshots: np.ndarray) -> np.ndarray:
+    """Coefficient snapshots stored at the step times, one row per step:
+    the row at the step's left end (see coefficient_times)."""
+    return snapshots[:-1]
 
 
 def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
@@ -356,7 +363,7 @@ def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
     """
     times = step_times(T, dt, t_start)
     left = coefficient_times(times)
-    states = _march_upwind(
+    states = march_upwind(
         problem.u0.values, problem.c.stack(left),
         problem.A.stack(left) if problem.A is not None else None,
         problem.a.stack(left) if problem.a is not None else None,

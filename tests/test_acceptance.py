@@ -19,7 +19,8 @@ from predprey.parabolic import (ParabolicProblem, Scheme, check_parabolic_bounds
                                 duhamel_reference, parabolic_stability_experiment,
                                 solve_parabolic, weak_residual_parabolic)
 from predprey.scenario_io import load_scenario
-from predprey.series import ConstantFieldSeries, ConstantVectorSeries, FuncFieldSeries
+from predprey.series import (ConstantFieldSeries, ConstantVectorSeries, FuncFieldSeries,
+                             SampledFieldSeries, SampledVectorSeries)
 from predprey.testfunctions import default_family
 from predprey.transport import (TransportProblem, characteristics_solution_field,
                                 check_hyperbolic_bounds, solve_hyperbolic,
@@ -254,7 +255,9 @@ def test_10_decoupling_equivalence():
     B_series = FuncFieldSeries(lambda t: ex.sample_field(scenario.beta, grid, t))
     w_ref = solve_parabolic(ParabolicProblem(grid, scenario.mu, B_series, b_series, w0),
                             scenario.horizon, scenario.scheme())
-    c_ser, A_ser, _ = freeze_coefficients(w_ref, w_ref, scenario, kernel)
+    c, A, _ = freeze_coefficients(w_ref.times, w_ref.values, w_ref.values, scenario, kernel)
+    c_ser = SampledVectorSeries(grid, w_ref.times, c)
+    A_ser = SampledFieldSeries(grid, w_ref.times, A)
     a_series = FuncFieldSeries(lambda t: ex.sample_field(scenario.a, grid, t))
     u_ref = solve_hyperbolic(TransportProblem(grid, c_ser, A_ser, a_series, u0),
                              scenario.horizon, scenario.dt)

@@ -173,3 +173,24 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     changed = sorted(n for n in expected if written.get(n) != expected[n])
     extra = sorted(set(written) - set(expected))
     assert not changed and not extra, f"changed or missing: {changed}; unexpected: {extra}"
+
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("n_cells = 128", "n_cells = 512", "[time.dt]"),
+    ("ell = 0.25", "ell = 0.01", "[model.ell]"),
+    ("u0 = 0.5*exp(-50*(x-0.3)^2)", "u0 = 1e300*exp(x)^2", "[time.dt]"),
+    ("alpha = 1 - w", "alpha = 1e300", "[scenario]"),
+], ids=["cfl_violation", "horizon_too_small", "stiff_reaction", "nonfinite_field"])
+def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
+    # edits of the shipped scenario that stop the solve; each must exit 1
+    # with one keyed line, not a traceback
+    text = open(SHIPPED, encoding="ascii").read()
+    assert old in text
+    edited = tmp_path / "edited.ini"
+    edited.write_text(text.replace(old, new))
+    assert main(["run", "--scenario", str(edited), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1

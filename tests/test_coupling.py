@@ -11,7 +11,7 @@ from predprey.coupling import (NoContraction, Scenario, WindowCollapse,
                                stability_in_controls_experiment)
 from predprey.grid import DomainSpec, Field, norm_l1
 from predprey.parabolic import ParabolicProblem, solve_parabolic
-from predprey.series import FuncFieldSeries, Trace
+from predprey.series import FuncFieldSeries, SampledFieldSeries, SampledVectorSeries
 from predprey.transport import TransportProblem, solve_hyperbolic
 from predprey.velocity import make_kernel
 
@@ -52,8 +52,10 @@ class TestFreeze:
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
         times = np.array([0.0, 0.01, 0.02])
-        z = Trace(grid, times, np.zeros((3,) + grid.shape))
-        c_ser, A_ser, B_ser = freeze_coefficients(z, z, s, kernel)
+        z = np.zeros((3,) + grid.shape)
+        c, A, B = freeze_coefficients(times, z, z, s, kernel)
+        c_ser = SampledVectorSeries(grid, times, c)
+        A_ser, B_ser = SampledFieldSeries(grid, times, A), SampledFieldSeries(grid, times, B)
         assert np.all(c_ser.at(0.005).components == 0.0)
         assert np.allclose(A_ser.at(0.0).values, 1.0)   # alpha(0) = 1 - 0
         assert np.all(B_ser.at(0.0).values == 0.0)
@@ -63,9 +65,10 @@ class TestFreeze:
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
         times = np.array([0.0, 0.01])
-        tr_u = Trace(grid, times, np.full((2,) + grid.shape, 0.25))
-        tr_w = Trace(grid, times, np.full((2,) + grid.shape, 0.5))
-        _, A_ser, B_ser = freeze_coefficients(tr_u, tr_w, s, kernel)
+        u = np.full((2,) + grid.shape, 0.25)
+        w = np.full((2,) + grid.shape, 0.5)
+        _, A, B = freeze_coefficients(times, u, w, s, kernel)
+        A_ser, B_ser = SampledFieldSeries(grid, times, A), SampledFieldSeries(grid, times, B)
         assert np.allclose(A_ser.at(0.0).values, 0.5)
         assert np.allclose(B_ser.at(0.0).values, -0.25)
 
@@ -144,7 +147,9 @@ class TestSolveCoupled:
         B_series = FuncFieldSeries(lambda t: ex.sample_field(s.beta, grid, t))
         w_ref = solve_parabolic(ParabolicProblem(grid, s.mu, B_series, b_series, w0),
                                 s.horizon, s.scheme())
-        c_ser, A_ser, _ = freeze_coefficients(w_ref, w_ref, s, kernel)
+        c, A, _ = freeze_coefficients(w_ref.times, w_ref.values, w_ref.values, s, kernel)
+        c_ser = SampledVectorSeries(grid, w_ref.times, c)
+        A_ser = SampledFieldSeries(grid, w_ref.times, A)
         a_series = FuncFieldSeries(lambda t: ex.sample_field(s.a, grid, t))
         u_ref = solve_hyperbolic(TransportProblem(grid, c_ser, A_ser, a_series, u0),
                                  s.horizon, s.dt)

@@ -160,3 +160,19 @@ def test_window_freeze_error_carries_alpha_key_path():
     with pytest.raises(ex.NonFiniteValue, match=r"\[coefficients\.alpha\]"):
         picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0,
                       s.picard_tol, s.picard_max_iter)
+
+
+@pytest.mark.parametrize("overrides,error,match", [
+    (dict(kappa=50.0), CflViolation, "exceeds 0.9"),
+    (dict(beta=ex.parse("-300", ex.Slot.BETA)), StiffReaction, ">= 1"),
+    (dict(alpha=ex.parse("1e300", ex.Slot.ALPHA)), GridError, "non-finite"),
+], ids=["cfl_violation", "stiff_reaction", "nonfinite_field"])
+def test_window_march_errors(overrides, error, match):
+    # the window marches the kernels directly; their limits and the
+    # finiteness check must still stop it
+    s = make_scenario(**overrides)
+    grid = s.grid()
+    u0, w0 = s.initial_fields(grid)
+    with pytest.raises(error, match=match):
+        picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0,
+                      s.picard_tol, s.picard_max_iter)

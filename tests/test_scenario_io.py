@@ -4,12 +4,15 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from predprey.coupling import compute_bounds_report, solve_coupled
-from predprey.scenario_io import (ParseError, ValidationError, load_scenario,
-                                  parse_scenario_text, scenario_to_text,
-                                  write_run_artifacts)
+from predprey.coupling import CoupledTrace, compute_bounds_report, solve_coupled
+from predprey.grid import DomainSpec, build_grid
+from predprey.scenario_io import (SNAPSHOT_HEADER, ParseError, ValidationError,
+                                  load_scenario, parse_scenario_text, scenario_to_text,
+                                  write_run_artifacts, write_snapshots)
+from predprey.series import Trace
 
 MINIMAL = """\
 # predprey scenario v1
@@ -198,3 +201,48 @@ def test_saturated_ledger_writes_strict_json(tmp_path, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert "u_tv_iteration" in warnings[0] and "saturated" in warnings[0]
+
+
+def write_snapshots_per_value(trace, directory, every):
+    """The snapshot writer as it was, one f'{v:.17g}' per value: the oracle."""
+    os.makedirs(directory, exist_ok=True)
+    coords = trace.grid.center_points()
+    coord_names = ["x", "y"][: trace.grid.dim]
+    indices = list(range(0, len(trace.times), every))
+    if indices[-1] != len(trace.times) - 1:
+        indices.append(len(trace.times) - 1)
+    for snap_no, i in enumerate(indices):
+        rows = [",".join(coord_names + ["u", "w"])]
+        u = trace.u.values[i].ravel()
+        w = trace.w.values[i].ravel()
+        for c_row, uv, wv in zip(coords, u, w):
+            rows.append(",".join([f"{c:.17g}" for c in c_row] + [f"{uv:.17g}", f"{wv:.17g}"]))
+        name = os.path.join(directory, f"snapshot_{snap_no:04d}.csv")
+        with open(name, "w", encoding="ascii") as handle:
+            handle.write(f"{SNAPSHOT_HEADER} t={trace.times[i]:.17g}\n")
+            handle.write("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("bounds,n_cells", [
+    (((0.0, 1.0),), 40),
+    (((0.0, 1.0), (-0.3, 2.7)), (6, 7)),
+], ids=["1d", "2d"])
+def test_snapshot_writer_matches_per_value_formatting(bounds, n_cells, tmp_path):
+    grid = build_grid(DomainSpec(bounds), n_cells)
+    times = np.array([0.0, 0.1, 0.25, 0.3])
+    rng = np.random.default_rng(3)
+    shape = (len(times),) + grid.shape
+    # random bit patterns cover every exponent; keep the finite ones
+    bits = rng.integers(0, 2**64, size=4 * np.prod(shape), dtype=np.uint64).view(float)
+    pool = bits[np.isfinite(bits)]
+    u = pool[: np.prod(shape)].reshape(shape)
+    w = pool[np.prod(shape): 2 * np.prod(shape)].reshape(shape)
+    u.flat[:3] = -0.0, 5e-324, 1.7976931348623157e308
+    w.flat[-3:] = -1.7976931348623157e308, -2.5e-310, -0.0
+    trace = CoupledTrace(Trace(grid, times, u), Trace(grid, times, w), ())
+    write_snapshots(trace, str(tmp_path / "new"), every=2)
+    write_snapshots_per_value(trace, str(tmp_path / "old"), every=2)
+    names = sorted(os.listdir(tmp_path / "old"))
+    assert sorted(os.listdir(tmp_path / "new")) == names
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
