@@ -430,29 +430,40 @@ def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
     u_lo = float(np.min(trace.u.values)) - 0.1
     u_hi = float(np.max(trace.u.values)) + 0.1
     t_hi = float(trace.times[-1])
-    k_alpha = k_beta = 0.0
+    names = ("t", "x", "y")[: 1 + grid.dim]
+    k_alpha = 0.0
+    # the draws stay in this loop because a sample whose alpha pair fails
+    # draws no u pair; beta is evaluated on the kept samples afterwards
+    points, u_pairs, w_pairs = [], [], []
     for _ in range(n_samples):
         t = rng.uniform(0.0, t_hi)
         idx = tuple(rng.integers(0, n) for n in grid.shape)
-        env = {"t": t, "x": float(mesh[0][idx])}
-        if grid.dim == 2:
-            env["y"] = float(mesh[1][idx])
-        w1, w2 = rng.uniform(w_lo, w_hi, size=2)
-        try:
-            if abs(w1 - w2) > 1e-9:
-                da = abs(ex.evaluate(scenario.alpha, {**env, "w": w1})
-                         - ex.evaluate(scenario.alpha, {**env, "w": w2}))
-                k_alpha = max(k_alpha, da / abs(w1 - w2))
-            u1, u2 = rng.uniform(u_lo, u_hi, size=2)
-            if abs(w1 - w2) + abs(u1 - u2) > 1e-9:
-                db = abs(ex.evaluate(scenario.beta, {**env, "u": u1, "w": w1})
-                         - ex.evaluate(scenario.beta, {**env, "u": u2, "w": w2}))
-                k_beta = max(k_beta, db / (abs(u1 - u2) + abs(w1 - w2)))
-        except ex.NonFiniteValue:
-            # probe slightly outside the visited range hit a pole; skip the
-            # sample, the quotient is a measurement, not a gate
-            continue
-    return k_alpha, k_beta
+        point = (t,) + tuple(float(m[idx]) for m in mesh)
+        w_pair = rng.uniform(w_lo, w_hi, size=2)
+        dw = abs(w_pair[0] - w_pair[1])
+        if dw > 1e-9:
+            try:
+                alpha = ex.evaluate(scenario.alpha, dict(zip(names, point), w=w_pair))
+            except ex.NonFiniteValue:
+                # probe slightly outside the visited range hit a pole; skip the
+                # sample, the quotient is a measurement, not a gate
+                continue
+            alpha = np.broadcast_to(alpha, 2)
+            k_alpha = max(k_alpha, abs(alpha[0] - alpha[1]) / dw)
+        u_pair = rng.uniform(u_lo, u_hi, size=2)
+        if dw + abs(u_pair[0] - u_pair[1]) > 1e-9:
+            points.append(point)
+            u_pairs.append(u_pair)
+            w_pairs.append(w_pair)
+    if not points:
+        return k_alpha, 0.0
+    points, u, w = np.array(points), np.array(u_pairs), np.array(w_pairs)
+    env = {name: points[:, k, None] for k, name in enumerate(names)}
+    beta = np.broadcast_to(ex.evaluate_raw(scenario.beta, {**env, "u": u, "w": w}), u.shape)
+    kept = np.all(np.isfinite(beta), axis=1)
+    db = np.abs(beta[kept, 0] - beta[kept, 1])
+    du_w = np.abs(u[kept, 0] - u[kept, 1]) + np.abs(w[kept, 0] - w[kept, 1])
+    return k_alpha, float(np.max(db / du_w, initial=0.0))
 
 
 def alpha_variation_quotient(scenario: Scenario, trace: CoupledTrace) -> float:
@@ -560,8 +571,7 @@ def _check(name: str, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
         log.warning("check %s: rhs saturated at the largest float from t=%.17g on "
                     "(%d of %d times); the bound is vacuous there",
                     name, times[saturated[0]], saturated.size, len(rhs))
-    return InequalityCheck(name, [float(v) for v in lhs], [float(v) for v in rhs],
-                           ok, float(np.min(rhs - lhs)))
+    return InequalityCheck(name, lhs.tolist(), rhs.tolist(), ok, float(np.min(rhs - lhs)))
 
 
 def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsReport:
@@ -612,9 +622,9 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
     idx = min(idx, len(trace.times) - 1)
     return BoundsReport(
         schema_version=1,
-        times=[float(v) for v in trace.times],
+        times=trace.times.tolist(),
         constants={
-            **{name: [float(v) for v in _saturate(getattr(consts, name))]
+            **{name: _saturate(getattr(consts, name)).tolist()
                for name in ("c_w1", "c_winf", "c_wtv", "c_u1", "c_uinf", "c_utv", "c_uw")},
             "c_theorem": [c_thm] * len(trace.times),
         },

@@ -241,11 +241,35 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 
+MAX_DEPTH = 200
+
+
 def parse(src: str, slot: Slot) -> Expr:
-    """Parse ``src`` for the given slot, enforcing its variable set."""
+    """Parse ``src`` for the given slot, enforcing its variable set.
+
+    Trees deeper than MAX_DEPTH are rejected: evaluating, rendering and
+    inspecting a tree recurse once per level.
+    """
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(_tokenize(src), slot).parse()
+    try:
+        tree = _Parser(_tokenize(src), slot).parse()
+        too_deep = _depth(tree) > MAX_DEPTH
+    except RecursionError:
+        too_deep = True
+    if too_deep:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
+    return tree
+
+
+def _depth(expr: Expr) -> int:
+    if isinstance(expr, Neg):
+        return 1 + _depth(expr.arg)
+    if isinstance(expr, BinOp):
+        return 1 + max(_depth(expr.left), _depth(expr.right))
+    if isinstance(expr, Call):
+        return 1 + max(_depth(a) for a in expr.args)
+    return 1
 
 
 def variables(expr: Expr) -> set[str]:
@@ -323,11 +347,15 @@ def _eval(expr: Expr, env: Mapping[str, object]):
     return np.power(left, right)
 
 
+def evaluate_raw(expr: Expr, env: Mapping[str, object]) -> np.ndarray:
+    """Evaluate over scalars or numpy arrays; inf/nan are returned, not raised."""
+    with np.errstate(all="ignore"):
+        return np.asarray(_eval(expr, env), dtype=float)
+
+
 def evaluate(expr: Expr, env: Mapping[str, object]):
     """Evaluate over scalars or numpy arrays; raise NonFiniteValue on inf/nan."""
-    with np.errstate(all="ignore"):
-        result = _eval(expr, env)
-    result = np.asarray(result, dtype=float)
+    result = evaluate_raw(expr, env)
     if not np.all(np.isfinite(result)):
         bad = np.argwhere(~np.isfinite(np.atleast_1d(result)))
         raise NonFiniteValue(
@@ -359,8 +387,7 @@ def sample_stack(expr: Expr, grid: Grid, times, u: np.ndarray | None = None,
         env["u"] = u
     if w is not None:
         env["w"] = w
-    with np.errstate(all="ignore"):
-        values = np.broadcast_to(np.asarray(_eval(expr, env), dtype=float), shape)
+    values = np.broadcast_to(evaluate_raw(expr, env), shape)
     if not np.all(np.isfinite(values)):
         k, *cell = np.argwhere(~np.isfinite(values))[0].tolist()
         raise NonFiniteValue(

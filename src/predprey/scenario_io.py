@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,11 +27,15 @@ import numpy as np
 
 from . import expressions as ex
 from .coupling import BoundsReport, CoupledTrace, Scenario
-from .grid import DomainSpec
+from .grid import DomainSpec, GridError
 
 SCENARIO_HEADER = "# predprey scenario v1"
 NORMS_HEADER = "# predprey norms v1"
 SNAPSHOT_HEADER = "# predprey snapshot v1"
+
+
+# the most cells an axis can have: numpy indexes arrays with np.intp
+_MAX_CELLS = int(np.iinfo(np.intp).max)
 
 
 class ScenarioError(Exception):
@@ -72,9 +77,12 @@ _SLOTS = {
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"{section}.{key}", f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{section}.{key}", f"not a finite number: {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -129,8 +137,27 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     n_cells = tuple(_parse_int("domain", "n_cells", c) for c in counts)
     if len(n_cells) == 1 and dim == 2:
         n_cells = (n_cells[0], n_cells[0])
+    try:
+        domain = DomainSpec(tuple(bounds))
+    except GridError as exc:
+        raise ValidationError("domain.bounds", str(exc)) from None
+    # the spacings build_grid would use, without building the grid
+    if not all(4 <= n <= _MAX_CELLS for n in n_cells):
+        raise ValidationError("domain.n_cells",
+                              f"need 4 to {_MAX_CELLS} cells per axis, got {n_cells}")
+    dx = [(hi - lo) / n for (lo, hi), n in zip(domain.bounds, n_cells)]
 
     model = parser["model"]
+    mu = _parse_float("model", "mu", model["mu"])
+    if mu <= 0:
+        raise ValidationError("model.mu", f"diffusivity must be positive, got {mu!r}")
+    kappa = _parse_float("model", "kappa", model["kappa"])
+    if kappa < 0:
+        raise ValidationError("model.kappa", f"speed cap must be nonnegative, got {kappa!r}")
+    ell = _parse_float("model", "ell", model["ell"])
+    if ell <= 2.0 * max(dx):
+        raise ValidationError("model.ell", f"horizon {ell!r} must exceed twice the "
+                                           f"largest spacing {max(dx)!r}")
     attract = _parse_int("model", "attract", model["attract"])
     if attract not in (1, -1):
         raise ValidationError("model.attract", "attract must be 1 or -1")
@@ -142,6 +169,10 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         exprs[key] = _parse_expr("initial", key, parser["initial"][key], dim)
 
     timing = parser["time"]
+    horizon = _parse_float("time", "T", timing["T"])
+    dt = _parse_float("time", "dt", timing["dt"])
+    if horizon > 0 and dt > 0 and not math.isfinite(horizon / dt):
+        raise ValidationError("time.dt", f"step {dt!r} is too small for T = {horizon!r}")
     schemes = parser["schemes"]
     scheme_kind = schemes["parabolic"].strip()
     if scheme_kind not in ("implicit_euler", "crank_nicolson"):
@@ -149,6 +180,14 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     hyperbolic_kind = schemes.get("hyperbolic", "upwind").strip()
     if hyperbolic_kind != "upwind":
         raise ValidationError("schemes.hyperbolic", f"unknown scheme {hyperbolic_kind!r}")
+    picard_tol = _parse_float("schemes", "picard_tol", schemes.get("picard_tol", "1e-8"))
+    if picard_tol <= 0:
+        raise ValidationError("schemes.picard_tol", f"must be positive, got {picard_tol!r}")
+    picard_max_iter = _parse_int("schemes", "picard_max_iter",
+                                 schemes.get("picard_max_iter", "12"))
+    if picard_max_iter < 1:
+        raise ValidationError("schemes.picard_max_iter",
+                              f"must be at least 1, got {picard_max_iter}")
     output = parser["output"]
     formats = tuple(
         f.strip() for f in output.get("formats", "csv,json").split(",") if f.strip()
@@ -156,29 +195,31 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ValidationError("output.formats", f"unknown format {fmt!r}")
+    seed = _parse_int("output", "seed", output.get("seed", "0"))
+    if seed < 0:
+        raise ValidationError("output.seed", f"must be nonnegative, got {seed}")
     try:
         return Scenario(
-            domain=DomainSpec(tuple(bounds)),
+            domain=domain,
             n_cells=n_cells,
-            mu=_parse_float("model", "mu", model["mu"]),
-            ell=_parse_float("model", "ell", model["ell"]),
-            kappa=_parse_float("model", "kappa", model["kappa"]),
+            mu=mu,
+            ell=ell,
+            kappa=kappa,
             attract=attract,
             alpha=exprs["alpha"], beta=exprs["beta"],
             a=exprs["a"], b=exprs["b"],
             u0=exprs["u0"], w0=exprs["w0"],
-            horizon=_parse_float("time", "T", timing["T"]),
-            dt=_parse_float("time", "dt", timing["dt"]),
+            horizon=horizon,
+            dt=dt,
             snapshot_every=_parse_int("time", "snapshot_every", timing["snapshot_every"]),
             parabolic_scheme=scheme_kind,
-            picard_tol=_parse_float("schemes", "picard_tol", schemes.get("picard_tol", "1e-8")),
-            picard_max_iter=_parse_int("schemes", "picard_max_iter",
-                                       schemes.get("picard_max_iter", "12")),
+            picard_tol=picard_tol,
+            picard_max_iter=picard_max_iter,
             k_alpha=_parse_float("model", "K_alpha", model["K_alpha"]),
             k_beta=_parse_float("model", "K_beta", model["K_beta"]),
             out_dir=output["directory"].strip(),
             formats=formats,
-            seed=_parse_int("output", "seed", output.get("seed", "0")),
+            seed=seed,
         )
     except ValueError as exc:
         raise ValidationError("scenario", str(exc)) from None
@@ -200,7 +241,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path) from None
     return parse_scenario_text(text, source=path)
 

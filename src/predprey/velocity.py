@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, ndimage
 
-from .grid import (Field, Grid, VectorField, divergence, gradient_components,
-                   norm_l1, norm_linf, require_finite)
+from .grid import (Field, Grid, VectorField, gradient_components, l1_norms,
+                   linf_norms, require_finite)
 
 
 class HorizonTooSmall(ValueError):
@@ -136,27 +136,6 @@ def velocity(w: Field, kernel: Kernel, kappa: float, attract: int = 1) -> Vector
     return VectorField(w.grid, drift_velocity(w.values, kernel, kappa, attract))
 
 
-def _max_derivative(vf: VectorField) -> float:
-    """max over components and axes of |d v_k / d x_j|."""
-    worst = 0.0
-    for k in range(vf.grid.dim):
-        for g in gradient_components(vf.components[k], vf.grid):
-            worst = max(worst, float(np.max(np.abs(g))))
-    return worst
-
-
-def second_derivative_l1(vf: VectorField) -> float:
-    """L1 norm of the max-entry second-derivative tensor of the velocity."""
-    grid = vf.grid
-    worst = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        firsts = gradient_components(vf.components[k], grid)
-        for g in firsts:
-            for gg in gradient_components(g, grid):
-                worst = np.maximum(worst, np.abs(gg))
-    return float(np.sum(worst) * grid.cell_volume)
-
-
 @dataclass(frozen=True)
 class HypothesisVReport:
     """Empirical quotients backing the nonlocal-velocity hypothesis.
@@ -188,36 +167,47 @@ def verify_hypothesis_v(kernel: Kernel, kappa: float, sample_fields: list[Field]
 
     Pairs of samples feed the Lipschitz and divergence-Lipschitz quotients;
     a zero-mass sample with a nonzero velocity raises DegenerateSample.
+
+    The samples are one (n, *grid.shape) stack: every per-sample quantity is
+    an axis reduction over that sample's cells alone, and the pair quotients
+    are taken one row at a time (sample i against every j > i), so memory
+    stays O(samples x cells).
     """
     if not sample_fields:
         raise ValueError("need at least one sample field")
-    vels = [velocity(w, kernel, kappa, attract) for w in sample_fields]
-    masses = [norm_l1(w) for w in sample_fields]
-    speed_q = grad_q = 0.0
-    second_q = 0.0
-    for w, v, m in zip(sample_fields, vels, masses):
-        vmax = float(np.max(v.magnitude()))
-        if m <= 0.0:
-            if vmax > 1e-12:
-                raise DegenerateSample(
-                    f"zero-mass sample with velocity max {vmax}; contradicts the speed bound"
-                )
-            continue
-        speed_q = max(speed_q, vmax / m)
-        grad_q = max(grad_q, _max_derivative(v) / m)
-        second_q = max(second_q, second_derivative_l1(v) / m)
+    grid = kernel.grid
+    w = np.stack([f.values for f in sample_fields])
+    vel = drift_velocity(w, kernel, kappa, attract)  # (n, dim, *grid.shape)
+    masses = l1_norms(w, grid)
+    speeds = linf_norms(np.sqrt(np.sum(vel**2, axis=1)), grid)
+    zero_mass = masses <= 0.0
+    degenerate = np.flatnonzero(zero_mass & (speeds > 1e-12))
+    if degenerate.size:
+        raise DegenerateSample(
+            f"zero-mass sample with velocity max {float(speeds[degenerate[0]])}; "
+            "contradicts the speed bound"
+        )
+    # firsts[j][:, k] = d v_k / d x_j; worst = max over j, k, i of |d_i d_j v_k|
+    firsts = gradient_components(vel, grid)
+    grads = np.zeros(len(w))
+    worst = np.zeros(w.shape)
+    for g in firsts:
+        grads = np.maximum(grads, _sample_max(g))
+        for gg in gradient_components(g, grid):
+            worst = np.maximum(worst, np.max(np.abs(gg), axis=1))
+    div = np.zeros(w.shape)
+    for k in range(grid.dim):
+        div += firsts[k][:, k]
+    kept = ~zero_mass
+    speed_q = _max_quotient(speeds, masses, kept)
+    grad_q = _max_quotient(grads, masses, kept)
+    second_q = _max_quotient(l1_norms(worst, grid), masses, kept)
     lips_q = div_q = 0.0
-    for i in range(len(sample_fields)):
-        for j in range(i + 1, len(sample_fields)):
-            dw = norm_l1(Field(kernel.grid, sample_fields[i].values - sample_fields[j].values))
-            if dw <= 0.0:
-                continue
-            dv = float(np.max(np.abs(vels[i].components - vels[j].components)))
-            lips_q = max(lips_q, dv / dw)
-            ddiv = norm_linf(
-                Field(kernel.grid, divergence(vels[i]).values - divergence(vels[j]).values)
-            )
-            div_q = max(div_q, ddiv / dw)
+    for i in range(len(w) - 1):
+        dw = l1_norms(w[i] - w[i + 1:], grid)
+        apart = dw > 0.0
+        lips_q = max(lips_q, _max_quotient(_sample_max(vel[i] - vel[i + 1:]), dw, apart))
+        div_q = max(div_q, _max_quotient(linf_norms(div[i] - div[i + 1:], grid), dw, apart))
     return HypothesisVReport(
         speed_quotient=speed_q,
         gradient_quotient=grad_q,
@@ -226,3 +216,13 @@ def verify_hypothesis_v(kernel: Kernel, kappa: float, sample_fields: list[Field]
         second_derivative_quotient=second_q,
         n_samples=len(sample_fields),
     )
+
+
+def _sample_max(values: np.ndarray) -> np.ndarray:
+    """max |entry| of each sample of a stack, over all its other axes."""
+    return np.max(np.abs(values).reshape(len(values), -1), axis=1)
+
+
+def _max_quotient(num: np.ndarray, den: np.ndarray, kept: np.ndarray) -> float:
+    """max(0, num/den) over the kept entries."""
+    return float(np.max(num[kept] / den[kept], initial=0.0))

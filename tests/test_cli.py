@@ -183,10 +183,21 @@ SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_p
     ("ell = 0.25", "ell = 0.01", "[model.ell]"),
     ("u0 = 0.5*exp(-50*(x-0.3)^2)", "u0 = 1e300*exp(x)^2", "[time.dt]"),
     ("alpha = 1 - w", "alpha = 1e300", "[scenario]"),
-], ids=["cfl_violation", "horizon_too_small", "stiff_reaction", "nonfinite_field"])
+    # rejected at load, before any solve
+    ("kappa = 0.5", "kappa = -1", "[model.kappa]"),
+    ("n_cells = 128", "n_cells = 2", "[domain.n_cells]"),
+    ("mu = 0.05", "mu = -0.1", "[model.mu]"),
+    ("mu = 0.05", "mu = nan", "[model.mu]"),
+    ("mu = 0.05", "mu = 0", "[model.mu]"),
+    ("picard_max_iter = 12", "picard_max_iter = 0", "[schemes.picard_max_iter]"),
+    ("picard_tol = 1e-8", "picard_tol = nan", "[schemes.picard_tol]"),
+    ("formats = csv,json", "formats = csv,json\nseed = -3", "[output.seed]"),
+], ids=["cfl_violation", "horizon_too_small", "stiff_reaction", "nonfinite_field",
+        "negative_kappa", "too_few_cells", "negative_mu", "nan_mu", "zero_mu",
+        "no_picard_iterations", "nan_picard_tol", "negative_seed"])
 def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
-    # edits of the shipped scenario that stop the solve; each must exit 1
-    # with one keyed line, not a traceback
+    # edits of the shipped scenario that stop the solve or are rejected at
+    # load; each must exit 1 with one keyed line, not a traceback
     text = open(SHIPPED, encoding="ascii").read()
     assert old in text
     edited = tmp_path / "edited.ini"

@@ -190,3 +190,15 @@ def test_print_parse_round_trip(tree):
     reparsed = ex.parse(printed, ex.Slot.BETA)
     assert reparsed == tree
     assert ex.to_source(reparsed) == printed
+
+
+
+def test_nesting_limit():
+    # a tree of MAX_DEPTH levels parses and evaluates; one level more is rejected
+    deepest = "-" * (ex.MAX_DEPTH - 1) + "w"
+    assert ex.evaluate(ex.parse(deepest, ex.Slot.ALPHA), {"w": 1.0}) == (-1.0) ** (ex.MAX_DEPTH - 1)
+    assert ex.evaluate(ex.parse(" + ".join(["w"] * ex.MAX_DEPTH), ex.Slot.ALPHA),
+                       {"w": 1.0}) == ex.MAX_DEPTH
+    for src in ("-" + deepest, " + ".join(["w"] * (ex.MAX_DEPTH + 1))):
+        with pytest.raises(ex.ExprSyntaxError, match="nested deeper"):
+            ex.parse(src, ex.Slot.ALPHA)

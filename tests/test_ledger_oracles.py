@@ -1,0 +1,199 @@
+"""The ledger's stacked constants against the per-sample loops they replaced.
+
+``verify_hypothesis_v`` and ``estimate_coefficient_lipschitz`` measure their
+quotients over stacks of samples.  The loops below are the earlier
+implementations, one velocity, divergence and scalar evaluation at a time;
+both sides must agree exactly (``==``, no tolerance).
+"""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from predprey import expressions as ex
+from predprey.coupling import (_smooth_sample_fields, estimate_coefficient_lipschitz,
+                               solve_coupled)
+from predprey.grid import (Field, divergence, gradient_components, norm_l1, norm_linf,
+                           zeros)
+from predprey.scenario_io import load_scenario, parse_scenario_text
+from predprey.velocity import (DegenerateSample, HypothesisVReport, make_kernel,
+                               velocity, verify_hypothesis_v)
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
+
+
+def _max_derivative(vf):
+    worst = 0.0
+    for k in range(vf.grid.dim):
+        for g in gradient_components(vf.components[k], vf.grid):
+            worst = max(worst, float(np.max(np.abs(g))))
+    return worst
+
+
+def _second_derivative_l1(vf):
+    grid = vf.grid
+    worst = np.zeros(grid.shape)
+    for k in range(grid.dim):
+        for g in gradient_components(vf.components[k], grid):
+            for gg in gradient_components(g, grid):
+                worst = np.maximum(worst, np.abs(gg))
+    return float(np.sum(worst) * grid.cell_volume)
+
+
+def hypothesis_v_loop(kernel, kappa, sample_fields, attract=1):
+    """One velocity per sample, both divergences again for every pair."""
+    vels = [velocity(w, kernel, kappa, attract) for w in sample_fields]
+    masses = [norm_l1(w) for w in sample_fields]
+    speed_q = grad_q = second_q = 0.0
+    for v, m in zip(vels, masses):
+        vmax = float(np.max(v.magnitude()))
+        if m <= 0.0:
+            if vmax > 1e-12:
+                raise DegenerateSample(
+                    f"zero-mass sample with velocity max {vmax}; contradicts the speed bound"
+                )
+            continue
+        speed_q = max(speed_q, vmax / m)
+        grad_q = max(grad_q, _max_derivative(v) / m)
+        second_q = max(second_q, _second_derivative_l1(v) / m)
+    lips_q = div_q = 0.0
+    for i in range(len(sample_fields)):
+        for j in range(i + 1, len(sample_fields)):
+            dw = norm_l1(Field(kernel.grid, sample_fields[i].values - sample_fields[j].values))
+            if dw <= 0.0:
+                continue
+            dv = float(np.max(np.abs(vels[i].components - vels[j].components)))
+            lips_q = max(lips_q, dv / dw)
+            ddiv = norm_linf(
+                Field(kernel.grid, divergence(vels[i]).values - divergence(vels[j]).values)
+            )
+            div_q = max(div_q, ddiv / dw)
+    return HypothesisVReport(speed_q, grad_q, lips_q, div_q, second_q, len(sample_fields))
+
+
+def coefficient_lipschitz_loop(scenario, trace, n_samples=200):
+    """Scalar evaluations, two per coefficient and sample."""
+    rng = np.random.default_rng(scenario.seed + 1)
+    grid = trace.grid
+    mesh = grid.centers()
+    w_lo = float(np.min(trace.w.values)) - 0.1
+    w_hi = float(np.max(trace.w.values)) + 0.1
+    u_lo = float(np.min(trace.u.values)) - 0.1
+    u_hi = float(np.max(trace.u.values)) + 0.1
+    t_hi = float(trace.times[-1])
+    k_alpha = k_beta = 0.0
+    for _ in range(n_samples):
+        t = rng.uniform(0.0, t_hi)
+        idx = tuple(rng.integers(0, n) for n in grid.shape)
+        env = {"t": t, "x": float(mesh[0][idx])}
+        if grid.dim == 2:
+            env["y"] = float(mesh[1][idx])
+        w1, w2 = rng.uniform(w_lo, w_hi, size=2)
+        try:
+            if abs(w1 - w2) > 1e-9:
+                da = abs(ex.evaluate(scenario.alpha, {**env, "w": w1})
+                         - ex.evaluate(scenario.alpha, {**env, "w": w2}))
+                k_alpha = max(k_alpha, da / abs(w1 - w2))
+            u1, u2 = rng.uniform(u_lo, u_hi, size=2)
+            if abs(w1 - w2) + abs(u1 - u2) > 1e-9:
+                db = abs(ex.evaluate(scenario.beta, {**env, "u": u1, "w": w1})
+                         - ex.evaluate(scenario.beta, {**env, "u": u2, "w": w2}))
+                k_beta = max(k_beta, db / (abs(u1 - u2) + abs(w1 - w2)))
+        except ex.NonFiniteValue:
+            continue
+    return k_alpha, k_beta
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    scenario = load_scenario(SHIPPED)
+    return scenario, solve_coupled(scenario)
+
+
+@pytest.fixture(scope="module")
+def shipped_2d():
+    """The shipped scenario on a 24x24 square, with a beta that reads y."""
+    text = open(SHIPPED, encoding="ascii").read()
+    for old, new in [("dim = 1", "dim = 2"), ("bounds = 0,1", "bounds = 0,1;0,1"),
+                     ("n_cells = 128", "n_cells = 24"), ("beta = -u", "beta = -u*(1 + y)"),
+                     ("T = 0.5", "T = 0.05"),
+                     ("u0 = 0.5*exp(-50*(x-0.3)^2)", "u0 = 0.5*exp(-50*((x-0.3)^2 + (y-0.5)^2))"),
+                     ("w0 = 0.5*exp(-50*(x-0.7)^2)", "w0 = 0.5*exp(-50*((x-0.7)^2 + (y-0.4)^2))")]:
+        assert old in text
+        text = text.replace(old, new)
+    scenario = parse_scenario_text(text)
+    return scenario, solve_coupled(scenario)
+
+
+def test_hypothesis_v_ledger_samples(shipped):
+    scenario, trace = shipped
+    grid = trace.grid
+    kernel = make_kernel(scenario.ell, grid)
+    rows = trace.w.values[:: max(1, len(trace.times) // 12)]
+    samples = _smooth_sample_fields(grid, [Field(grid, w) for w in rows], scenario.seed)
+    assert len(samples) == 22
+    got = verify_hypothesis_v(kernel, scenario.kappa, samples, scenario.attract)
+    assert got == hypothesis_v_loop(kernel, scenario.kappa, samples, scenario.attract)
+
+
+@pytest.mark.parametrize("attract", [1, -1])
+def test_hypothesis_v_2d(shipped_2d, attract):
+    scenario, trace = shipped_2d
+    grid = trace.grid
+    kernel = make_kernel(scenario.ell, grid)
+    samples = _smooth_sample_fields(grid, [Field(grid, w) for w in trace.w.values[::3]], 4)
+    got = verify_hypothesis_v(kernel, scenario.kappa, samples, attract)
+    assert got == hypothesis_v_loop(kernel, scenario.kappa, samples, attract)
+    assert got.lipschitz_quotient > 0 and got.div_lipschitz_quotient > 0
+
+
+def test_hypothesis_v_skips_zero_mass_and_zero_distance(shipped):
+    scenario, trace = shipped
+    grid = trace.grid
+    kernel = make_kernel(scenario.ell, grid)
+    w = Field(grid, trace.w.values[-1])
+    samples = [zeros(grid), w, Field(grid, trace.w.values[0]), w, zeros(grid)]
+    got = verify_hypothesis_v(kernel, scenario.kappa, samples)
+    assert got == hypothesis_v_loop(kernel, scenario.kappa, samples)
+    only_zero = [zeros(grid), zeros(grid)]
+    got = verify_hypothesis_v(kernel, scenario.kappa, only_zero)
+    assert got == hypothesis_v_loop(kernel, scenario.kappa, only_zero)
+    assert got.k_v == got.c_v == 0.0
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ("1 - w", "-u"),                                    # the shipped coefficients
+    ("0.3", "2"),                                       # constants: a scalar result
+    ("exp(-w)*sin(3*x) + t", "tanh(u - w) + cos(t)*u^2"),
+    ("exp(1800*w)", "u*w"),                             # alpha overflows on part of the range
+    ("x*w", "u*exp(1800*w)"),                           # beta overflows on part of the range
+], ids=["shipped", "constant", "transcendental", "alpha_overflow", "beta_overflow"])
+def test_coefficient_lipschitz_1d(shipped, alpha, beta):
+    scenario, trace = shipped
+    scenario = replace(scenario, alpha=ex.parse(alpha, ex.Slot.ALPHA),
+                       beta=ex.parse(beta, ex.Slot.BETA))
+    got = estimate_coefficient_lipschitz(scenario, trace)
+    assert got == coefficient_lipschitz_loop(scenario, trace)
+
+
+def test_coefficient_lipschitz_overflow_shifts_draws(shipped):
+    # skipped alpha samples draw no u pair: every later draw moves
+    scenario, trace = shipped
+    overflow = replace(scenario, alpha=ex.parse("exp(1800*w)", ex.Slot.ALPHA))
+    assert (estimate_coefficient_lipschitz(overflow, trace)[1]
+            != estimate_coefficient_lipschitz(scenario, trace)[1])
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ("1 - w", "-u*(1 + y)"),                            # the scenario's own coefficients
+    ("exp(-w*y) + sin(x)", "tanh(u*y - w) + t*x"),
+    ("2", "y"),
+])
+def test_coefficient_lipschitz_2d(shipped_2d, alpha, beta):
+    scenario, trace = shipped_2d
+    scenario = replace(scenario, alpha=ex.parse(alpha, ex.Slot.ALPHA),
+                       beta=ex.parse(beta, ex.Slot.BETA))
+    got = estimate_coefficient_lipschitz(scenario, trace)
+    assert got == coefficient_lipschitz_loop(scenario, trace)

@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from predprey.coupling import CoupledTrace, compute_bounds_report, solve_coupled
+from predprey.coupling import CoupledTrace, Scenario, compute_bounds_report, solve_coupled
 from predprey.grid import DomainSpec, build_grid
-from predprey.scenario_io import (SNAPSHOT_HEADER, ParseError, ValidationError,
+from predprey.scenario_io import (SNAPSHOT_HEADER, ParseError, ScenarioError, ValidationError,
                                   load_scenario, parse_scenario_text, scenario_to_text,
                                   write_run_artifacts, write_snapshots)
 from predprey.series import Trace
@@ -106,6 +108,42 @@ def test_syntax_error_reported():
 def test_missing_file():
     with pytest.raises(ParseError):
         load_scenario("/nonexistent/path.ini")
+
+
+def test_non_ascii_file_rejected(tmp_path):
+    path = tmp_path / "accented.ini"
+    path.write_bytes(MINIMAL.replace("bounds", "# d\u00e9j\u00e0 vu\nbounds").encode("utf-8"))
+    with pytest.raises(ParseError, match="ascii"):
+        load_scenario(str(path))
+
+
+SHIPPED_TEXT = open(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                 "predator_prey.ini"), encoding="ascii").read()
+SHIPPED_KEYS = [line.split(" = ")[0] for line in SHIPPED_TEXT.splitlines()
+                if " = " in line and not line.startswith("#")]
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-10**30, max_value=10**400).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e-320", "-0", "0"]),
+)
+# expressions nested from below MAX_DEPTH to past the recursion limit
+NESTED_TEXT = st.builds(lambda n, op: op.join(["1"] * n) if op != "-" else "-" * n + "1",
+                        st.integers(min_value=100, max_value=3000),
+                        st.sampled_from([" + ", "^", "-"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(SHIPPED_KEYS), value=st.one_of(NUMBER_TEXT, NESTED_TEXT, st.text()))
+def test_fuzzed_value_loads_or_is_rejected(key, value):
+    # one value of the shipped scenario replaced: the loader returns a
+    # Scenario or raises ScenarioError, never any other exception
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in SHIPPED_TEXT.splitlines()]
+    try:
+        scenario = parse_scenario_text("\n".join(lines))
+    except ScenarioError:
+        return
+    assert isinstance(scenario, Scenario)
 
 
 def test_round_trip_equality():
