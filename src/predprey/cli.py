@@ -11,8 +11,9 @@ Subcommands::
 
 Exit code 0 on success; 1 on scenario errors, window collapse, non-finite
 evaluation, a step too large for the CFL or reaction limit (``time.dt``), a
-kernel horizon too small for the grid (``model.ell``) or a solution that
-overflows, with the failing key path on stderr.
+kernel horizon too small for the grid (``model.ell``), a solution that
+overflows, or a ``--seed``/``--resolutions`` value the loader would reject
+for its key, with the failing key path on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .coupling import (Scenario, WindowCollapse, compute_bounds_report,
                        stability_in_controls_experiment)
 from .grid import NonFiniteField
 from .parabolic import StiffReaction
-from .scenario_io import (ScenarioError, load_scenario, write_bounds_json,
+from .scenario_io import (ScenarioError, ValidationError, check_cell_counts,
+                          check_seed, load_scenario, parse_int, write_bounds_json,
                           write_run_artifacts)
 from .studies import hyperbolic_oracle_study, parabolic_duhamel_study
 from .transport import CflViolation
@@ -42,7 +44,7 @@ log = logging.getLogger("predprey")
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = replace(scenario, seed=check_seed(args.seed))
     return scenario
 
 
@@ -142,7 +144,13 @@ def cmd_controls(args) -> int:
 
 
 def _resolutions(arg: str) -> list[int]:
-    return [int(part) for part in arg.split(",") if part.strip()]
+    """The refinement ladder: two or more distinct cell counts, each valid for a scenario."""
+    ladder = [parse_int("--resolutions", part) for part in arg.split(",") if part.strip()]
+    check_cell_counts("--resolutions", tuple(ladder))
+    if len(set(ladder)) < 2:
+        raise ValidationError("--resolutions", f"need two distinct cell counts to fit an "
+                                               f"order, got {arg!r}")
+    return ladder
 
 
 def cmd_convergence(args) -> int:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
@@ -128,6 +127,8 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
     with midpoint quadrature in y (the grid cells) and composite Simpson in tau.
     Fully independent of the time stepper; serves as its accuracy oracle.
     """
+    from scipy import integrate
+
     if problem.grid.dim != 1:
         raise Requires1D("the Green-function oracle is implemented on intervals only")
     if problem.B is not None:
@@ -431,6 +432,8 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
     the exact weak solution gives 0, so the value measures solver plus
     quadrature error and must shrink under refinement.
     """
+    from scipy import integrate
+
     grid = problem.grid
     vol = grid.cell_volume
     times = trace.times

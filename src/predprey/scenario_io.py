@@ -75,21 +75,35 @@ _SLOTS = {
 }
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse_float(key: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ValidationError(f"{section}.{key}", f"not a number: {raw!r}") from None
+        raise ValidationError(key, f"not a number: {raw!r}") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{section}.{key}", f"not a finite number: {raw!r}")
+        raise ValidationError(key, f"not a finite number: {raw!r}")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def parse_int(key: str, raw: str) -> int:
+    """An integer, or a ValidationError naming ``key``."""
     try:
         return int(raw)
     except ValueError:
-        raise ValidationError(f"{section}.{key}", f"not an integer: {raw!r}") from None
+        raise ValidationError(key, f"not an integer: {raw!r}") from None
+
+
+def check_cell_counts(key: str, n_cells: tuple[int, ...]) -> None:
+    """Cells per axis: each an integer from 4 to _MAX_CELLS."""
+    if not all(4 <= n <= _MAX_CELLS for n in n_cells):
+        raise ValidationError(key, f"need 4 to {_MAX_CELLS} cells per axis, got {n_cells}")
+
+
+def check_seed(seed: int) -> int:
+    """The sampling seed (``output.seed``): a nonnegative integer."""
+    if seed < 0:
+        raise ValidationError("output.seed", f"must be nonnegative, got {seed}")
+    return seed
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
@@ -116,7 +130,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         raise ValidationError(sorted(unknown_sections)[0], "unknown section")
 
     dom = parser["domain"]
-    dim = _parse_int("domain", "dim", dom["dim"])
+    dim = parse_int("domain.dim", dom["dim"])
     if dim not in (1, 2):
         raise ValidationError("domain.dim", f"dim must be 1 or 2, got {dim}")
     axis_specs = [chunk for chunk in dom["bounds"].split(";") if chunk.strip()]
@@ -128,13 +142,13 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         if len(parts) != 2:
             raise ValidationError("domain.bounds", f"bad axis range {chunk!r}")
         bounds.append((
-            _parse_float("domain", "bounds", parts[0]),
-            _parse_float("domain", "bounds", parts[1]),
+            _parse_float("domain.bounds", parts[0]),
+            _parse_float("domain.bounds", parts[1]),
         ))
     counts = [c for c in dom["n_cells"].split(",") if c.strip()]
     if len(counts) not in (1, dim):
         raise ValidationError("domain.n_cells", f"expected 1 or {dim} counts")
-    n_cells = tuple(_parse_int("domain", "n_cells", c) for c in counts)
+    n_cells = tuple(parse_int("domain.n_cells", c) for c in counts)
     if len(n_cells) == 1 and dim == 2:
         n_cells = (n_cells[0], n_cells[0])
     try:
@@ -142,23 +156,21 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     except GridError as exc:
         raise ValidationError("domain.bounds", str(exc)) from None
     # the spacings build_grid would use, without building the grid
-    if not all(4 <= n <= _MAX_CELLS for n in n_cells):
-        raise ValidationError("domain.n_cells",
-                              f"need 4 to {_MAX_CELLS} cells per axis, got {n_cells}")
+    check_cell_counts("domain.n_cells", n_cells)
     dx = [(hi - lo) / n for (lo, hi), n in zip(domain.bounds, n_cells)]
 
     model = parser["model"]
-    mu = _parse_float("model", "mu", model["mu"])
+    mu = _parse_float("model.mu", model["mu"])
     if mu <= 0:
         raise ValidationError("model.mu", f"diffusivity must be positive, got {mu!r}")
-    kappa = _parse_float("model", "kappa", model["kappa"])
+    kappa = _parse_float("model.kappa", model["kappa"])
     if kappa < 0:
         raise ValidationError("model.kappa", f"speed cap must be nonnegative, got {kappa!r}")
-    ell = _parse_float("model", "ell", model["ell"])
+    ell = _parse_float("model.ell", model["ell"])
     if ell <= 2.0 * max(dx):
         raise ValidationError("model.ell", f"horizon {ell!r} must exceed twice the "
                                            f"largest spacing {max(dx)!r}")
-    attract = _parse_int("model", "attract", model["attract"])
+    attract = parse_int("model.attract", model["attract"])
     if attract not in (1, -1):
         raise ValidationError("model.attract", "attract must be 1 or -1")
 
@@ -169,8 +181,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         exprs[key] = _parse_expr("initial", key, parser["initial"][key], dim)
 
     timing = parser["time"]
-    horizon = _parse_float("time", "T", timing["T"])
-    dt = _parse_float("time", "dt", timing["dt"])
+    horizon = _parse_float("time.T", timing["T"])
+    dt = _parse_float("time.dt", timing["dt"])
     if horizon > 0 and dt > 0 and not math.isfinite(horizon / dt):
         raise ValidationError("time.dt", f"step {dt!r} is too small for T = {horizon!r}")
     schemes = parser["schemes"]
@@ -180,11 +192,11 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     hyperbolic_kind = schemes.get("hyperbolic", "upwind").strip()
     if hyperbolic_kind != "upwind":
         raise ValidationError("schemes.hyperbolic", f"unknown scheme {hyperbolic_kind!r}")
-    picard_tol = _parse_float("schemes", "picard_tol", schemes.get("picard_tol", "1e-8"))
+    picard_tol = _parse_float("schemes.picard_tol", schemes.get("picard_tol", "1e-8"))
     if picard_tol <= 0:
         raise ValidationError("schemes.picard_tol", f"must be positive, got {picard_tol!r}")
-    picard_max_iter = _parse_int("schemes", "picard_max_iter",
-                                 schemes.get("picard_max_iter", "12"))
+    picard_max_iter = parse_int("schemes.picard_max_iter",
+                                schemes.get("picard_max_iter", "12"))
     if picard_max_iter < 1:
         raise ValidationError("schemes.picard_max_iter",
                               f"must be at least 1, got {picard_max_iter}")
@@ -195,9 +207,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ValidationError("output.formats", f"unknown format {fmt!r}")
-    seed = _parse_int("output", "seed", output.get("seed", "0"))
-    if seed < 0:
-        raise ValidationError("output.seed", f"must be nonnegative, got {seed}")
+    seed = check_seed(parse_int("output.seed", output.get("seed", "0")))
     try:
         return Scenario(
             domain=domain,
@@ -211,12 +221,12 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             u0=exprs["u0"], w0=exprs["w0"],
             horizon=horizon,
             dt=dt,
-            snapshot_every=_parse_int("time", "snapshot_every", timing["snapshot_every"]),
+            snapshot_every=parse_int("time.snapshot_every", timing["snapshot_every"]),
             parabolic_scheme=scheme_kind,
             picard_tol=picard_tol,
             picard_max_iter=picard_max_iter,
-            k_alpha=_parse_float("model", "K_alpha", model["K_alpha"]),
-            k_beta=_parse_float("model", "K_beta", model["K_beta"]),
+            k_alpha=_parse_float("model.K_alpha", model["K_alpha"]),
+            k_beta=_parse_float("model.K_beta", model["K_beta"]),
             out_dir=output["directory"].strip(),
             formats=formats,
             seed=seed,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .grid import (Field, Grid, VectorField, divergence, gradient_components,
                    interp_field, interp_values, l1_norms, norm_l1, norm_linf,
@@ -177,6 +176,8 @@ def trace_characteristic(problem: TransportProblem, t_end: float, x_end,
 def exponential_weight(path: CharPath, problem: TransportProblem, tau: float,
                        t: float, n_nodes: int | None = None) -> float:
     """exp of the Simpson quadrature of A - div c along the stored path."""
+    from scipy import integrate
+
     lo = float(path.times[0])
     if not (lo - 1e-9 <= tau <= t <= path.t_origin + 1e-9):
         raise ValueError(f"[{tau}, {t}] outside the path span [{lo}, {path.t_origin}]")
@@ -212,6 +213,8 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     through the boundary only accumulate the source after the entry time,
     realizing the zero-inflow condition exactly.
     """
+    from scipy import integrate
+
     grid = problem.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if t <= 0:
@@ -560,6 +563,8 @@ def time_lipschitz_check(trace: Trace) -> TimeLipschitzReport:
 def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
                              test_functions: list[SineTestFunction]) -> np.ndarray:
     """Quadrature of the transport weak form (with initial term) per test function."""
+    from scipy import integrate
+
     grid = problem.grid
     vol = grid.cell_volume
     times = trace.times

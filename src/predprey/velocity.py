@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, ndimage
+from scipy import ndimage
 
 from .grid import (Field, Grid, VectorField, gradient_components, l1_norms,
                    linf_norms, require_finite)
@@ -36,11 +36,15 @@ def radial_profile(r, ell: float, ell_bar: float):
 
 
 def _normalization(ell: float, dim: int) -> float:
-    """Normalize so the kernel integrates to 1 over R^dim (radial quadrature)."""
+    """Normalize so the kernel integrates to 1 over R^dim.
+
+    The radial mass is exact: int_0^ell (ell^4 - r^4)^4 dr = 2048/3315 ell^17
+    in 1D, and int_0^ell (ell^4 - r^4)^4 r dr = 64/315 ell^18 in 2D.
+    """
     if dim == 1:
-        mass, _ = integrate.quad(lambda r: (ell**4 - r**4) ** 4, 0.0, ell, limit=200)
+        mass = 2048.0 / 3315.0 * ell**17
         return 1.0 / (2.0 * mass)
-    mass, _ = integrate.quad(lambda r: (ell**4 - r**4) ** 4 * r, 0.0, ell, limit=200)
+    mass = 64.0 / 315.0 * ell**18
     return 1.0 / (2.0 * np.pi * mass)
 
 

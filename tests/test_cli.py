@@ -205,3 +205,50 @@ def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
     assert main(["run", "--scenario", str(edited), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["run", "--seed", "-1"], "[output.seed]"),
+    (["convergence", "--resolutions", "2,64"], "[--resolutions]"),
+    (["oracle-compare", "--resolutions", "abc"], "[--resolutions]"),
+    (["oracle-compare", "--resolutions", "64,64"], "[--resolutions]"),
+], ids=["negative_seed", "too_few_cells", "not_an_integer", "one_resolution"])
+def test_flag_exit_code(argv, key, tmp_path, capsys):
+    # command-line overrides obey the loader's rules for the keys they stand for
+    assert main([*argv, "--scenario", SHIPPED, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+IMPORT_GUARD = """\
+import sys
+import predprey.cli as cli
+from predprey.scenario_io import load_scenario
+from predprey.velocity import make_kernel
+scenario_path, out = sys.argv[1:]
+scenario = load_scenario(scenario_path)
+make_kernel(scenario.ell, scenario.grid())
+for command in (["run"], ["bounds"], ["lipschitz", "--delta", "1e-2"],
+                ["controls", "--delta", "1e-2"]):
+    assert cli.main([*command, "--scenario", scenario_path, "--out", out]) == 0, command
+assert "scipy.integrate" not in sys.modules
+"""
+
+
+def test_solve_commands_do_not_import_scipy_integrate(tmp_path):
+    # the oracles import scipy.integrate when called; no solve command may
+    # load it, since it adds about 250 modules to every cold start
+    import subprocess
+    import sys
+
+    text = open(SHIPPED, encoding="ascii").read()
+    assert "T = 0.5" in text
+    short = tmp_path / "short.ini"
+    short.write_text(text.replace("T = 0.5", "T = 0.02"))
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", BLIS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(short), str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,7 @@
 """Averaging kernel, renormalized convolution, and drift velocity tests."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,23 @@ from predprey.velocity import (HorizonTooSmall, make_kernel,
                                modified_convolution, radial_profile, velocity,
                                verify_hypothesis_v)
 
+# the package exports the function `velocity` under the module's name
+velocity_module = importlib.import_module("predprey.velocity")
+
 
 def grid1d(n=64):
     return build_grid(DomainSpec(((0.0, 1.0),)), n)
+
+
+def quad_normalization(ell: float, dim: int) -> float:
+    """The kernel constant by radial quadrature: the oracle of the closed form."""
+    from scipy import integrate
+
+    if dim == 1:
+        mass, _ = integrate.quad(lambda r: (ell**4 - r**4) ** 4, 0.0, ell, limit=200)
+        return 1.0 / (2.0 * mass)
+    mass, _ = integrate.quad(lambda r: (ell**4 - r**4) ** 4 * r, 0.0, ell, limit=200)
+    return 1.0 / (2.0 * np.pi * mass)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +62,33 @@ def test_continuum_normalization_1d():
     r = np.linspace(-0.25, 0.25, 20001)
     mass = np.trapezoid(radial_profile(np.abs(r), k.ell, k.ell_bar), r)
     assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+def test_continuum_normalization_2d():
+    # polar quadrature: 2 pi int_0^ell r profile(r) dr is one
+    k = make_kernel(0.25, build_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), 32))
+    r = np.linspace(0.0, 0.25, 20001)
+    mass = 2.0 * np.pi * np.trapezoid(r * radial_profile(r, k.ell, k.ell_bar), r)
+    assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_closed_form_normalization_matches_quadrature(dim):
+    # the exact kernel mass is within 4 ulp of the radial quadrature it replaced
+    for ell in np.geomspace(0.02, 4.0, 60):
+        oracle = quad_normalization(ell, dim)
+        exact = velocity_module._normalization(ell, dim)
+        assert abs(exact - oracle) <= 4 * np.finfo(float).eps * oracle, ell
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_shipped_kernel_bits_match_quadrature_kernel(n, monkeypatch):
+    # ell = 0.25 on the shipped 1D grids: the closed form changes no bit
+    kernel = make_kernel(0.25, grid1d(n))
+    monkeypatch.setattr(velocity_module, "_normalization", quad_normalization)
+    oracle = make_kernel(0.25, grid1d(n))
+    assert np.array_equal(kernel.weights, oracle.weights)
+    assert np.array_equal(kernel.denominators, oracle.denominators)
 
 
 def test_interior_stencil_mass(kernel64):
