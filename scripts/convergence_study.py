@@ -10,8 +10,9 @@ Usage: python3 scripts/convergence_study.py [--scenario PATH] [--resolutions 64,
 
 import argparse
 import os
+import sys
 
-from predprey.scenario_io import load_scenario
+from predprey.scenario_io import ScenarioError, load_scenario, parse_resolutions
 from predprey.studies import hyperbolic_oracle_study, parabolic_duhamel_study
 
 DEFAULT = os.path.join(os.path.dirname(__file__), "..", "scenarios", "advection.ini")
@@ -22,8 +23,12 @@ def main() -> None:
     parser.add_argument("--scenario", default=DEFAULT)
     parser.add_argument("--resolutions", default="64,128,256")
     args = parser.parse_args()
-    ladder = [int(part) for part in args.resolutions.split(",") if part.strip()]
-    scenario = load_scenario(args.scenario)
+    try:
+        ladder = parse_resolutions(args.resolutions)
+        scenario = load_scenario(args.scenario)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
     hyp = hyperbolic_oracle_study(scenario, ladder)
     print("upwind vs characteristics oracle (L1 at final time):")

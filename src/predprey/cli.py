@@ -31,9 +31,8 @@ from .coupling import (Scenario, WindowCollapse, compute_bounds_report,
                        stability_in_controls_experiment)
 from .grid import NonFiniteField
 from .parabolic import StiffReaction
-from .scenario_io import (ScenarioError, ValidationError, check_cell_counts,
-                          check_seed, load_scenario, parse_int, write_bounds_json,
-                          write_run_artifacts)
+from .scenario_io import (ScenarioError, check_seed, load_scenario, parse_resolutions,
+                          write_bounds_json, write_run_artifacts)
 from .studies import hyperbolic_oracle_study, parabolic_duhamel_study
 from .transport import CflViolation
 from .velocity import HorizonTooSmall
@@ -143,20 +142,10 @@ def cmd_controls(args) -> int:
     return 0
 
 
-def _resolutions(arg: str) -> list[int]:
-    """The refinement ladder: two or more distinct cell counts, each valid for a scenario."""
-    ladder = [parse_int("--resolutions", part) for part in arg.split(",") if part.strip()]
-    check_cell_counts("--resolutions", tuple(ladder))
-    if len(set(ladder)) < 2:
-        raise ValidationError("--resolutions", f"need two distinct cell counts to fit an "
-                                               f"order, got {arg!r}")
-    return ladder
-
-
 def cmd_convergence(args) -> int:
     scenario = _load(args)
     out_dir = args.out or scenario.out_dir
-    ladder = _resolutions(args.resolutions)
+    ladder = parse_resolutions(args.resolutions)
     hyp = hyperbolic_oracle_study(scenario, ladder)
     payload = {"hyperbolic_vs_oracle": hyp.to_dict()}
     if scenario.domain.dim == 1:
@@ -169,7 +158,7 @@ def cmd_convergence(args) -> int:
 def cmd_oracle_compare(args) -> int:
     scenario = _load(args)
     out_dir = args.out or scenario.out_dir
-    ladder = _resolutions(args.resolutions)
+    ladder = parse_resolutions(args.resolutions)
     hyp = hyperbolic_oracle_study(scenario, ladder)
     path = _write_json(hyp.to_dict(), out_dir, "oracle_compare.json")
     log.info("wrote %s (fitted order %.3f)", path, hyp.fitted_order)

@@ -9,6 +9,18 @@ constant estimate and halved whenever an iteration fails to settle; the
 final iterate of each window seeds the next, making the stitched trace
 continuous at the joints by construction.
 
+The converged iterate is the unique fixed point whatever the start, so the
+start only sets how many iterations a window needs.  By default each window
+after the first starts from the Newton backward-difference quadratic
+through the last three converged states, extrapolated over the window
+(``extrapolate_window``) and clipped cellwise from below at min(datum, 0),
+so a nonnegative state is never frozen at a negative guess.  The first
+window has no history and starts from the datum held constant in time; a
+window halved after a failed contraction starts from the prefix of the same
+prediction.  Only the starting iterate depends on this choice: the
+tolerance, the convergence test and the window sizes do not, and the
+returned trace is always a marched iterate.
+
 Each Picard window is array-backed and planned once: the step times, each
 solver's step sizes and the controls a and b (which do not depend on the
 iterate) are fixed before iterating.  An iterate is one (n_steps+1,
@@ -184,22 +196,37 @@ def freeze_coefficients(times: np.ndarray, u: np.ndarray, w: np.ndarray,
     return c, A, B
 
 
+def extrapolate_window(history: np.ndarray, n_steps: int) -> np.ndarray:
+    """Predicted states at the n_steps+1 step times of the next window.
+
+    ``history`` holds the last three converged states V_{K-2}, V_{K-1}, V_K
+    (oldest first) one step apart.  Returns the Newton backward-difference
+    quadratic through them, g_j = V_K + j dV_K + j(j+1)/2 d2V_K for
+    j = 0..n_steps, clipped cellwise from below at min(V_K, 0): the scheme
+    keeps a nonnegative state nonnegative, and so must the guess.  The rows
+    do not depend on n_steps, so a shorter window gets a prefix.
+    """
+    older, prev, last = history
+    d1 = last - prev
+    d2 = d1 - (prev - older)
+    j = np.arange(n_steps + 1.0).reshape((-1,) + (1,) * last.ndim)
+    guess = last + j * d1 + (0.5 * j * (j + 1.0)) * d2
+    return np.maximum(guess, np.minimum(last, 0.0))
+
+
 def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
                   t1: float, u_init: Field, w_init: Field, tol: float,
-                  max_iter: int, initial_iterate: str = "datum"):
+                  max_iter: int, start: tuple[np.ndarray, np.ndarray] | None = None):
     """Iterate the frozen-coefficient solves on [t0, t1] until they settle.
 
+    ``start`` is the first iterate (u, w), each broadcastable to one
+    (n_steps+1, *grid.shape) stack; by default the datum held constant.
     Returns converged (u, w) traces and the iteration log; raises
     NoContraction when the budget runs out, signalling the window is too
     long for the contraction available.
     """
     times = step_times(t1 - t0, scenario.dt, t0)
-    if initial_iterate == "datum":
-        u_start, w_start = u_init.values, w_init.values
-    elif initial_iterate == "zero":
-        u_start = w_start = np.zeros(grid.shape)
-    else:
-        raise ValueError(f"unknown initial iterate {initial_iterate!r}")
+    u_start, w_start = (u_init.values, w_init.values) if start is None else start
     stacked = (len(times),) + grid.shape
     u_prev = np.broadcast_to(u_start, stacked)
     w_prev = np.broadcast_to(w_start, stacked)
@@ -351,7 +378,11 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
 
 
 def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> float:
-    """Largest dt-multiple with (contraction rate) * window < 1/2, floored at 4 dt."""
+    """Largest dt-multiple with (contraction rate) * window < 1/2, floored at 4 dt.
+
+    A floored window for which the condition fails is logged as a WARNING
+    with its c_uw * window.
+    """
     from .calibration import TV_CONST_HYPERBOLIC, TV_CONST_PARABOLIC
 
     u0f, w0f = scenario.initial_fields(grid)
@@ -362,18 +393,44 @@ def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> float:
     consts = iteration_constants(scenario, data, report.k_v, report.c_v,
                                  TV_CONST_PARABOLIC, TV_CONST_HYPERBOLIC)
     with np.errstate(over="ignore"):
-        ok = consts.c_uw * (times - times[0]) < 0.5
+        rate = consts.c_uw * (times - times[0])
+    ok = rate < 0.5
     largest = times[np.nonzero(ok)[0][-1]] if np.any(ok) else 0.0
+    floor = min(4, n_steps)
+    if largest < times[floor] and not ok[floor]:
+        log.warning("window floored at %d steps (%g): c_uw * window = %.3g >= 1/2, so "
+                    "the a-priori contraction condition does not hold there",
+                    floor, times[floor], rate[floor])
     window = max(largest, 4 * scenario.dt)
     return min(window, scenario.horizon)
 
 
-def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> CoupledTrace:
+INITIAL_ITERATES = ("extrapolated", "datum", "zero")
+
+
+def _window_start(initial_iterate: str, u_all: np.ndarray, w_all: np.ndarray,
+                  step: int, take: int):
+    """First iterate of the window that starts at row ``step`` of the trace;
+    None for the datum held constant."""
+    if initial_iterate == "zero":
+        return 0.0, 0.0
+    if initial_iterate == "datum" or step < 2:  # the first window has no history
+        return None
+    return (extrapolate_window(u_all[step - 2:step + 1], take),
+            extrapolate_window(w_all[step - 2:step + 1], take))
+
+
+def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> CoupledTrace:
     """Window-chained fixed-point solve over the whole horizon.
 
-    Windows are halved on NoContraction; below 4 steps the solve aborts with
-    WindowCollapse.  The returned trace holds every step with diagnostics.
+    ``initial_iterate`` picks each window's first iterate: ``"extrapolated"``
+    (the quadratic prediction of ``extrapolate_window``), ``"datum"`` (the
+    window's initial state held constant) or ``"zero"``.  Windows are halved
+    on NoContraction; below 4 steps the solve aborts with WindowCollapse.
+    The returned trace holds every step with diagnostics.
     """
+    if initial_iterate not in INITIAL_ITERATES:
+        raise ValueError(f"unknown initial iterate {initial_iterate!r}")
     grid = scenario.grid()
     kernel = make_kernel(scenario.ell, grid)
     u_cur, w_cur = scenario.initial_fields(grid)
@@ -385,6 +442,7 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> Coupled
     w_all = np.empty_like(u_all)
     u_all[0], w_all[0] = u_cur.values, w_cur.values
     logs: list[WindowLog] = []
+    halvings = 0
     step = 0
     while step < total_steps:
         take = min(window_steps, total_steps - step)
@@ -394,7 +452,7 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> Coupled
             u_tr, w_tr, wlog = picard_window(
                 scenario, grid, kernel, t0, t1, u_cur, w_cur,
                 scenario.picard_tol, scenario.picard_max_iter,
-                initial_iterate=initial_iterate,
+                start=_window_start(initial_iterate, u_all, w_all, step, take),
             )
         except NoContraction:
             if window_steps // 2 < 4:
@@ -402,6 +460,7 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> Coupled
                     f"window of {window_steps} steps failed and cannot shrink below 4 steps"
                 ) from None
             window_steps //= 2
+            halvings += 1
             log.info("halving window to %d steps after failed contraction", window_steps)
             continue
         logs.append(wlog)
@@ -411,6 +470,10 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "datum") -> Coupled
         w_all[rows] = w_tr.values[1:]
         u_cur, w_cur = u_tr.final(), w_tr.final()
         step += take
+    iterations = [wlog.iterations for wlog in logs]
+    log.info("solve: %d windows, %d Picard iterations, %d halvings, at most %d "
+             "iterations per window", len(logs), sum(iterations), halvings,
+             max(iterations, default=0))
     return CoupledTrace(Trace(grid, times_all, u_all), Trace(grid, times_all, w_all),
                         tuple(logs))
 

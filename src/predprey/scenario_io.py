@@ -99,6 +99,17 @@ def check_cell_counts(key: str, n_cells: tuple[int, ...]) -> None:
         raise ValidationError(key, f"need 4 to {_MAX_CELLS} cells per axis, got {n_cells}")
 
 
+def parse_resolutions(arg: str) -> list[int]:
+    """A ``--resolutions`` refinement ladder: comma-separated cell counts, each
+    valid for ``domain.n_cells``, at least two of them distinct."""
+    ladder = [parse_int("--resolutions", part) for part in arg.split(",") if part.strip()]
+    check_cell_counts("--resolutions", tuple(ladder))
+    if len(set(ladder)) < 2:
+        raise ValidationError("--resolutions", f"need two distinct cell counts to fit an "
+                                               f"order, got {arg!r}")
+    return ladder
+
+
 def check_seed(seed: int) -> int:
     """The sampling seed (``output.seed``): a nonnegative integer."""
     if seed < 0:

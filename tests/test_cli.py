@@ -152,8 +152,9 @@ def test_runtime_nonfinite_exit_code(tmp_path, capsys):
 
 def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
-    # `predprey run` wrote for the shipped scenarios before the solver was
-    # array-backed; refactors must keep those bytes
+    # `predprey run` writes for the shipped scenarios; refactors must keep
+    # those bytes, and only a change of arithmetic made on purpose (last: the
+    # extrapolated first Picard iterate) regenerates the manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")

@@ -1,16 +1,21 @@
 """Fixed-point coupling tests: contraction, decoupling, experiments, ledger."""
 
+import logging
+import os
+
 import numpy as np
 import pytest
 
 from predprey import expressions as ex
 from predprey.coupling import (NoContraction, Scenario, WindowCollapse,
-                               compute_bounds_report, freeze_coefficients,
+                               compute_bounds_report, extrapolate_window,
+                               freeze_coefficients, initial_window,
                                lipschitz_in_data_experiment, picard_window,
                                positivity_audit, solve_coupled,
                                stability_in_controls_experiment)
 from predprey.grid import DomainSpec, Field, norm_l1
 from predprey.parabolic import ParabolicProblem, solve_parabolic
+from predprey.scenario_io import load_scenario
 from predprey.series import FuncFieldSeries, SampledFieldSeries, SampledVectorSeries
 from predprey.transport import TransportProblem, solve_hyperbolic
 from predprey.velocity import make_kernel
@@ -35,6 +40,19 @@ def make_scenario(**overrides) -> Scenario:
     defaults.update(overrides)
     return Scenario(**defaults)
 
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
+
+# weak coupling and small data: the a-priori window covers the whole horizon
+MILD_SCENARIO = dict(
+    alpha=ex.parse("0.1 - 0.1*w", ex.Slot.ALPHA),
+    beta=ex.parse("-0.1*u", ex.Slot.BETA),
+    a=ex.parse("0.01", ex.Slot.SOURCE_A),
+    b=ex.parse("0.01", ex.Slot.SOURCE_B),
+    u0=ex.parse("0.05*exp(-50*(x-0.3)^2)", ex.Slot.INIT),
+    w0=ex.parse("0.05*exp(-50*(x-0.7)^2)", ex.Slot.INIT),
+    kappa=0.1, k_alpha=0.1, k_beta=0.1,
+)
 
 ZERO_SCENARIO = dict(
     alpha=ex.parse("0", ex.Slot.ALPHA),
@@ -162,21 +180,127 @@ class TestSolveCoupled:
 
     def test_uniqueness_across_initial_iterates(self):
         s = make_scenario(horizon=0.1)
-        t1 = solve_coupled(s, initial_iterate="datum")
-        t2 = solve_coupled(s, initial_iterate="zero")
-        dist = max(
-            norm_l1(Field(t1.grid, a - b))
-            for a, b in zip(t1.u.values, t2.u.values)
-        ) + max(
-            norm_l1(Field(t1.grid, a - b))
-            for a, b in zip(t1.w.values, t2.w.values)
-        )
-        assert dist < 2 * s.picard_tol
+        traces = [solve_coupled(s, initial_iterate=start)
+                  for start in ("datum", "zero", "extrapolated")]
+        for t1, t2 in zip(traces, traces[1:] + traces[:1]):
+            dist = max(
+                norm_l1(Field(t1.grid, a - b))
+                for a, b in zip(t1.u.values, t2.u.values)
+            ) + max(
+                norm_l1(Field(t1.grid, a - b))
+                for a, b in zip(t1.w.values, t2.w.values)
+            )
+            assert dist < 2 * s.picard_tol
 
     def test_window_collapse_on_hopeless_tolerance(self):
         s = make_scenario(picard_tol=1e-300, picard_max_iter=2, horizon=0.1)
         with pytest.raises(WindowCollapse):
             solve_coupled(s)
+
+    def test_unknown_initial_iterate_rejected(self):
+        with pytest.raises(ValueError, match="unknown initial iterate"):
+            solve_coupled(make_scenario(), initial_iterate="previous")
+
+    def test_shipped_scenario_iterations(self):
+        # the datum start needs 4 iterations in each of the 25 windows
+        s = load_scenario(SHIPPED)
+        trace = solve_coupled(s)
+        assert len(trace.window_logs) == 25
+        assert all(wl.converged for wl in trace.window_logs)
+        assert sum(wl.iterations for wl in trace.window_logs) <= 80
+        assert sum(wl.iterations for wl in solve_coupled(s, "datum").window_logs) == 100
+
+    def test_run_summary_line(self, caplog, monkeypatch):
+        import predprey.coupling as cp
+
+        # an oversized first window fails and is halved twice
+        s = make_scenario(**MILD_SCENARIO, picard_max_iter=2, picard_tol=1e-5)
+        monkeypatch.setattr(cp, "initial_window", lambda scenario, grid, kernel: 0.2)
+        with caplog.at_level(logging.INFO, logger="predprey.coupling"):
+            trace = solve_coupled(s)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+        iterations = [wl.iterations for wl in trace.window_logs]
+        assert lines == [f"solve: {len(iterations)} windows, {sum(iterations)} Picard "
+                         f"iterations, 2 halvings, at most {max(iterations)} iterations "
+                         f"per window"]
+
+    def test_halved_window_starts_from_prefix_of_prediction(self, monkeypatch):
+        import predprey.coupling as cp
+
+        s = make_scenario(horizon=0.1)
+        calls = []
+
+        def second_window_fails_once(*args, start=None):
+            calls.append(start)
+            if len(calls) == 2:
+                raise NoContraction("forced")
+            return picard_window(*args, start=start)
+
+        monkeypatch.setattr(cp, "initial_window", lambda scenario, grid, kernel: 0.04)
+        monkeypatch.setattr(cp, "picard_window", second_window_fails_once)
+        trace = cp.solve_coupled(s)
+        assert [round((wl.t1 - wl.t0) / s.dt) for wl in trace.window_logs][:2] == [8, 4]
+        assert calls[0] is None  # the first window has no history
+        for full, halved in zip(calls[1], calls[2]):
+            assert full.shape[0] == 9 and halved.shape[0] == 5
+            assert np.array_equal(halved, full[:5])
+
+
+class TestPredictor:
+    def test_exact_on_quadratic_data(self):
+        # states quadratic in time, one row per step j
+        x = np.linspace(0.0, 1.0, 16)
+
+        def state(j):
+            return 0.3 + 0.2 * x + (0.05 - 0.1 * x) * j + 0.01 * (1 + x) * j * j
+
+        history = np.stack([state(-2), state(-1), state(0)])
+        predicted = extrapolate_window(history, 8)
+        expected = np.stack([state(j) for j in range(9)])
+        assert predicted.shape == (9, 16)
+        assert np.allclose(predicted, expected, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(predicted[0], history[-1])
+
+    def test_clip_keeps_the_sign_of_the_datum(self):
+        # a decaying nonnegative cell whose extrapolation crosses zero, a
+        # negative cell that keeps falling, and a growing cell left alone
+        history = np.array([[1.0, -0.1, 0.1],
+                            [0.7, -0.2, 0.2],
+                            [0.3, -0.3, 0.4]])
+        j = np.arange(5.0)[:, None]
+        raw = (history[2] + j * (history[2] - history[1])
+               + 0.5 * j * (j + 1) * (history[2] - 2 * history[1] + history[0]))
+        predicted = extrapolate_window(history, 4)
+        assert np.all(raw[1:, :2] < 0.0) and np.all(raw[:, 2] > 0.0)
+        assert predicted[0, 0] == 0.3 and np.all(predicted[1:, 0] == 0.0)
+        # below a negative datum the floor is the datum itself
+        assert np.all(predicted[:, 1] == -0.3)
+        assert np.allclose(predicted[:, 2], raw[:, 2], rtol=1e-14, atol=0.0)
+
+    def test_prefix_does_not_depend_on_window_length(self):
+        rng = np.random.default_rng(5)
+        history = rng.uniform(0.0, 1.0, (3, 4, 5))
+        assert np.array_equal(extrapolate_window(history, 3), extrapolate_window(history, 9)[:4])
+
+
+class TestInitialWindow:
+    def test_floor_logs_failed_contraction_condition(self, caplog):
+        s = load_scenario(SHIPPED)
+        grid = s.grid()
+        with caplog.at_level(logging.WARNING, logger="predprey.coupling"):
+            window = initial_window(s, grid, make_kernel(s.ell, grid))
+        assert window == pytest.approx(4 * s.dt)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "floored at 4 steps" in warnings[0] and "c_uw * window = 0.708" in warnings[0]
+
+    def test_no_warning_when_condition_holds(self, caplog):
+        s = make_scenario(**MILD_SCENARIO)
+        grid = s.grid()
+        with caplog.at_level(logging.WARNING, logger="predprey.coupling"):
+            window = initial_window(s, grid, make_kernel(s.ell, grid))
+        assert window > 4 * s.dt
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestBoundsReport:

@@ -3,14 +3,15 @@
 The oracle below is the slow path: coefficients frozen one snapshot at a
 time, read back through ``at(t)`` with the original bracket-and-blend rule,
 and marched one ``fv_upwind_step``/``step_parabolic`` call per step.  The
-array path must reproduce it bit for bit, and must still fail the same way.
+array path must reproduce it bit for bit, from the datum start and from a
+predicted start, and must still fail the same way.
 """
 
 import numpy as np
 import pytest
 
 from predprey import expressions as ex
-from predprey.coupling import Scenario, picard_window
+from predprey.coupling import Scenario, extrapolate_window, picard_window
 from predprey.grid import DomainSpec, Field, GridError, VectorField, build_grid, norm_l1, zeros
 from predprey.parabolic import (ParabolicProblem, Scheme, StiffReaction, solve_parabolic,
                                 step_parabolic)
@@ -73,13 +74,20 @@ class Snapshots:
         return Field(f0.grid, (1 - lam) * f0.values + lam * f1.values)
 
 
-def oracle_window(s, grid, kernel, t0, t1, u_init, w_init):
-    """Picard iteration on [t0, t1], one Field per step; returns (u, w, diffs)."""
+def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
+    """Picard iteration on [t0, t1], one Field per step; returns (u, w, diffs).
+
+    ``start`` is the first iterate as a pair of (n_steps+1, *grid.shape)
+    stacks; by default the datum held constant.
+    """
     span = t1 - t0
     times = t0 + s.dt * np.arange(int(round(span / s.dt)) + 1)
     steps = step_times(span, s.dt, t0)
     scheme = s.scheme()
-    u_prev, w_prev = [u_init] * len(times), [w_init] * len(times)
+    if start is None:
+        u_prev, w_prev = [u_init] * len(times), [w_init] * len(times)
+    else:
+        u_prev, w_prev = ([Field(grid, row) for row in stack] for stack in start)
     diffs = []
     for _ in range(s.picard_max_iter):
         c = Snapshots(times, [velocity(w, kernel, s.kappa, s.attract) for w in w_prev])
@@ -107,12 +115,15 @@ def oracle_window(s, grid, kernel, t0, t1, u_init, w_init):
     raise AssertionError("oracle window did not settle")
 
 
-@pytest.mark.parametrize("extra", [
+CASES = dict(argnames="extra", argvalues=[
     dict(parabolic_scheme="implicit_euler"),
     dict(parabolic_scheme="crank_nicolson"),
     dict(parabolic_scheme="implicit_euler", **SQUARE),
     dict(parabolic_scheme="crank_nicolson", **SQUARE),
 ], ids=["1d-implicit_euler", "1d-crank_nicolson", "2d-implicit_euler", "2d-crank_nicolson"])
+
+
+@pytest.mark.parametrize(**CASES)
 def test_array_window_matches_field_loop_bit_for_bit(extra):
     s = make_scenario(**extra)
     grid = s.grid()
@@ -127,6 +138,32 @@ def test_array_window_matches_field_loop_bit_for_bit(extra):
     assert wlog.diffs == tuple(diffs)
     assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
     assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
+
+
+@pytest.mark.parametrize(**CASES)
+def test_predicted_start_matches_field_loop_bit_for_bit(extra):
+    # the second window of a chained solve, started from the quadratic
+    # prediction through the first window's last three states
+    s = make_scenario(**extra)
+    grid = s.grid()
+    kernel = make_kernel(s.ell, grid)
+    u0, w0 = s.initial_fields(grid)
+    t0, t1 = 7 * s.dt, 15 * s.dt
+    u_first, w_first, _ = picard_window(s, grid, kernel, 0.0, t0, u0, w0,
+                                        s.picard_tol, s.picard_max_iter)
+    start = (extrapolate_window(u_first.values[-3:], 8),
+             extrapolate_window(w_first.values[-3:], 8))
+    u_init, w_init = u_first.final(), w_first.final()
+    u_ref, w_ref, diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start)
+    u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u_init, w_init,
+                                     s.picard_tol, s.picard_max_iter, start=start)
+    assert len(diffs) > 1
+    assert wlog.diffs == tuple(diffs)
+    assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
+    assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
+    # the prediction starts closer to the fixed point than the datum does
+    _, _, datum_diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init)
+    assert diffs[0] < datum_diffs[0]
 
 
 def test_array_march_raises_cfl_violation():

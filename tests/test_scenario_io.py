@@ -225,6 +225,10 @@ def test_saturated_ledger_writes_strict_json(tmp_path, caplog):
     # saturates at the largest float (valid JSON) and the run says so
     s = parse_scenario_text(MINIMAL.replace("K_alpha = 1.0", "K_alpha = 1e6"))
     trace = solve_coupled(s)
+    # the solve says its window is floored where the contraction condition fails
+    floored = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(floored) == 1 and "window floored" in floored[0]
+    caplog.clear()
     with caplog.at_level("WARNING", logger="predprey.coupling"):
         report = compute_bounds_report(trace, s)
     paths = write_run_artifacts(trace, report, s, str(tmp_path))
