@@ -258,7 +258,10 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
         if b is not None:
             reaction = reaction + b[k]
         if dim == 1:
-            rhs = w + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w, grid) + reaction)
+            if theta < 1.0:
+                rhs = w + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w, grid) + reaction)
+            else:
+                rhs = w + dt * reaction
             out[k + 1] = _solve_axis(rhs, band[0], axis=0)
         elif kind == "implicit_euler":
             half = _solve_axis(w + dt * reaction, band[0], axis=0)
