@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import (Field, Grid, VectorField, gradient_components, l1_norms,
                    linf_norms, require_finite)
@@ -53,15 +52,18 @@ class Kernel:
     """Discretized averaging kernel bound to one grid.
 
     ``weights`` is the full stencil window (midpoint samples of the profile,
-    renormalized so the window sums to exactly 1/cell_volume), and
-    ``denominators`` the per-cell window mass clipped to the domain, in
-    (0, 1].  Immutable; safe to share.
+    renormalized so the window sums to exactly 1/cell_volume), ``transform``
+    the real FFT of the flipped window zero-padded to n + m - 1 points along
+    each grid axis (n cells, m stencil points), and ``denominators`` the
+    per-cell window mass clipped to the domain, in (0, 1].  Immutable; safe
+    to share.
     """
 
     grid: Grid
     ell: float
     ell_bar: float
     weights: np.ndarray
+    transform: np.ndarray
     denominators: np.ndarray
 
     @property
@@ -70,6 +72,11 @@ class Kernel:
 
 
 def make_kernel(ell: float, grid: Grid) -> Kernel:
+    """Kernel of horizon ell on grid; weights, transform and denominators read-only.
+
+    The denominators are the correlation of the all-ones density with the
+    window, computed by the same FFT path as every average.
+    """
     if ell <= 2.0 * max(grid.dx):
         raise HorizonTooSmall(
             f"horizon {ell} must exceed twice the largest spacing {max(grid.dx)}"
@@ -87,21 +94,46 @@ def make_kernel(ell: float, grid: Grid) -> Kernel:
     # so interior averages of a constant reproduce the constant to rounding.
     weights = weights / (weights.sum() * grid.cell_volume)
     weights.setflags(write=False)
-    ones = np.ones(grid.shape)
-    denominators = ndimage.correlate(ones, weights, mode="constant", cval=0.0) * grid.cell_volume
+    flipped = weights[(slice(None, None, -1),) * grid.dim]
+    transform = np.fft.rfftn(flipped, _padded_shape(grid.shape, weights.shape),
+                             axes=tuple(range(grid.dim)))
+    transform.setflags(write=False)
+    denominators = _correlate(np.ones(grid.shape), transform, weights.shape) * grid.cell_volume
     denominators.setflags(write=False)
-    return Kernel(grid, float(ell), float(ell_bar), weights, denominators)
+    return Kernel(grid, float(ell), float(ell_bar), weights, transform, denominators)
+
+
+def _padded_shape(grid_shape: tuple[int, ...], window_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """FFT length per grid axis: n + m - 1, so the linear correlation never wraps."""
+    return tuple(n + m - 1 for n, m in zip(grid_shape, window_shape))
+
+
+def _correlate(values: np.ndarray, transform: np.ndarray,
+               window_shape: tuple[int, ...]) -> np.ndarray:
+    """Zero-padded correlation of the trailing grid axes of values with the window.
+
+    ``transform`` is the real FFT of the flipped window at ``_padded_shape``.
+    One rfftn, a product and one irfftn over the grid axes give the full
+    linear convolution with the flipped window; the centred slice of grid
+    size is the correlation.  Leading axes of a stack are carried along.
+    """
+    dim = len(window_shape)
+    grid_shape = values.shape[-dim:]
+    shape = _padded_shape(grid_shape, window_shape)
+    axes = tuple(range(-dim, 0))
+    full = np.fft.irfftn(np.fft.rfftn(values, shape, axes=axes) * transform, shape, axes=axes)
+    centred = tuple(slice((m - 1) // 2, (m - 1) // 2 + n)
+                    for n, m in zip(grid_shape, window_shape))
+    return full[(Ellipsis,) + centred]
 
 
 def _average(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     """modified_convolution on raw values: one density or a stack (n, *grid.shape).
 
-    A stack is correlated with the kernel padded by unit time axes, which
-    gives each density exactly the values of correlating it alone.
+    The numerator is one FFT correlation over the grid axes of the whole
+    stack (``_correlate``); each density's rows depend on that density alone.
     """
-    lead = values.ndim - kernel.weights.ndim
-    weights = kernel.weights.reshape((1,) * lead + kernel.weights.shape)
-    num = ndimage.correlate(values, weights, mode="constant", cval=0.0)
+    num = _correlate(values, kernel.transform, kernel.weights.shape)
     return num * kernel.grid.cell_volume / kernel.denominators
 
 

@@ -114,6 +114,71 @@ def test_convolution_preserves_constants(kernel64):
         assert np.max(np.abs(out.values - c)) < 1e-9
 
 
+# The FFT average against the direct correlation it replaced: FFT rounding
+# grows like eps * log(n) relative to the largest value, measured at most
+# 2.3e-14 on a 256 x 256 grid, so 1e-13 of max |value| is far below any
+# stencil, padding or slicing error.
+ORACLE_RTOL = 1e-13
+
+
+def direct_numerator(values, kernel):
+    """The direct zero-padded correlation: the oracle of the FFT numerator."""
+    from scipy import ndimage
+
+    lead = values.ndim - kernel.weights.ndim
+    weights = kernel.weights.reshape((1,) * lead + kernel.weights.shape)
+    return ndimage.correlate(values, weights, mode="constant", cval=0.0)
+
+
+def direct_average(values, kernel):
+    cell_volume = kernel.grid.cell_volume
+    denominators = direct_numerator(np.ones(kernel.grid.shape), kernel) * cell_volume
+    return direct_numerator(values, kernel) * cell_volume / denominators
+
+
+def grid_rect():
+    # dx = 1/24 != dy = 1/20, so the stencil is 13 x 11, not square
+    return build_grid(DomainSpec(((0.0, 1.0), (0.0, 2.0))), (24, 40))
+
+
+def assert_close_to_oracle(values, oracle):
+    assert values.shape == oracle.shape
+    assert np.max(np.abs(values - oracle)) <= ORACLE_RTOL * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("shape", [(5,), ()], ids=["stack", "single"])
+def test_fft_average_matches_direct_correlation_1d(shape):
+    g = grid1d(128)
+    k = make_kernel(0.25, g)
+    values = np.random.default_rng(7).uniform(0.0, 2.0, shape + g.shape)
+    assert_close_to_oracle(velocity_module._average(values, k), direct_average(values, k))
+
+
+def test_fft_average_matches_direct_correlation_2d_rectangle():
+    g = grid_rect()
+    k = make_kernel(0.25, g)
+    assert k.weights.shape == (13, 11)
+    xs, ys = g.centers()
+    rng = np.random.default_rng(8)
+    values = np.stack([np.exp(-20 * ((xs - rng.uniform()) ** 2 + (ys - 2 * rng.uniform()) ** 2))
+                       + rng.uniform(0.0, 0.1, g.shape) for _ in range(3)])
+    assert_close_to_oracle(velocity_module._average(values, k), direct_average(values, k))
+
+
+@pytest.mark.parametrize("grid", [grid1d(128), grid_rect()], ids=["1d", "2d"])
+def test_fft_denominators_match_direct_correlation(grid):
+    k = make_kernel(0.25, grid)
+    oracle = direct_numerator(np.ones(grid.shape), k) * grid.cell_volume
+    assert_close_to_oracle(k.denominators, oracle)
+
+
+def test_kernel_arrays_are_read_only(kernel64):
+    for values in (kernel64.weights, kernel64.transform, kernel64.denominators):
+        assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        kernel64.transform[0] = 0.0
+
+
 def test_convolution_of_zero(kernel64):
     out = modified_convolution(zeros(kernel64.grid), kernel64)
     assert np.all(out.values == 0.0)
