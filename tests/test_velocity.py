@@ -130,10 +130,12 @@ def direct_numerator(values, kernel):
     return ndimage.correlate(values, weights, mode="constant", cval=0.0)
 
 
+def direct_denominators(kernel):
+    return direct_numerator(np.ones(kernel.grid.shape), kernel) * kernel.grid.cell_volume
+
+
 def direct_average(values, kernel):
-    cell_volume = kernel.grid.cell_volume
-    denominators = direct_numerator(np.ones(kernel.grid.shape), kernel) * cell_volume
-    return direct_numerator(values, kernel) * cell_volume / denominators
+    return direct_numerator(values, kernel) * kernel.grid.cell_volume / direct_denominators(kernel)
 
 
 def grid_rect():
@@ -168,15 +170,12 @@ def test_fft_average_matches_direct_correlation_2d_rectangle():
 @pytest.mark.parametrize("grid", [grid1d(128), grid_rect()], ids=["1d", "2d"])
 def test_fft_denominators_match_direct_correlation(grid):
     k = make_kernel(0.25, grid)
-    oracle = direct_numerator(np.ones(grid.shape), k) * grid.cell_volume
-    assert_close_to_oracle(k.denominators, oracle)
+    assert_close_to_oracle(k.denominators, direct_denominators(k))
 
 
 def test_kernel_arrays_are_read_only(kernel64):
     for values in (kernel64.weights, kernel64.transform, kernel64.denominators):
         assert not values.flags.writeable
-    with pytest.raises(ValueError):
-        kernel64.transform[0] = 0.0
 
 
 def test_convolution_of_zero(kernel64):
