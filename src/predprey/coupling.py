@@ -11,15 +11,16 @@ continuous at the joints by construction.
 
 The converged iterate is the unique fixed point whatever the start, so the
 start only sets how many iterations a window needs.  By default each window
-after the first starts from the Newton backward-difference quadratic
-through the last three converged states, extrapolated over the window
-(``extrapolate_window``) and clipped cellwise from below at min(datum, 0),
-so a nonnegative state is never frozen at a negative guess.  The first
-window has no history and starts from the datum held constant in time; a
-window halved after a failed contraction starts from the prefix of the same
-prediction.  Only the starting iterate depends on this choice: the
-tolerance, the convergence test and the window sizes do not, and the
-returned trace is always a marched iterate.
+starts from the Newton backward-difference polynomial through the last
+converged states, up to five of them (degree PREDICTOR_DEGREE = 4),
+extrapolated over the window (``extrapolate_window``) and clipped cellwise
+from below at min(datum, 0), so a nonnegative state is never frozen at a
+negative guess.  The first window has only the datum, and its one-row
+history predicts the datum held constant in time; a window halved after a
+failed contraction starts from the prefix of the same prediction.  Only the
+starting iterate depends on this choice: the tolerance, the convergence
+test and the window sizes do not, and the returned trace is always a
+marched iterate.
 
 Each Picard window is array-backed and planned once: the step times, each
 solver's step sizes and the controls a and b (which do not depend on the
@@ -131,11 +132,13 @@ class WindowLog:
 
 @dataclass(frozen=True)
 class CoupledTrace:
-    """Both components at every step of the horizon, plus the window logs."""
+    """Both components at every step of the horizon, the window logs and
+    the plan of the first window."""
 
     u: Trace
     w: Trace
     window_logs: tuple[WindowLog, ...]
+    window_plan: WindowPlan
 
     @property
     def times(self) -> np.ndarray:
@@ -196,22 +199,38 @@ def freeze_coefficients(times: np.ndarray, u: np.ndarray, w: np.ndarray,
     return c, A, B
 
 
+# Highest order of the start prediction, chosen by measurement on the shipped
+# scenario to T = 4: degree 2/3/4/5/6 take 543/415/343/337/365 Picard
+# iterations.  Past 4 the gain is gone, as a longer extrapolation amplifies
+# the tolerance-sized error of the converged states it is built from.
+PREDICTOR_DEGREE = 4
+
+
 def extrapolate_window(history: np.ndarray, n_steps: int) -> np.ndarray:
     """Predicted states at the n_steps+1 step times of the next window.
 
-    ``history`` holds the last three converged states V_{K-2}, V_{K-1}, V_K
-    (oldest first) one step apart.  Returns the Newton backward-difference
-    quadratic through them, g_j = V_K + j dV_K + j(j+1)/2 d2V_K for
-    j = 0..n_steps, clipped cellwise from below at min(V_K, 0): the scheme
-    keeps a nonnegative state nonnegative, and so must the guess.  The rows
-    do not depend on n_steps, so a shorter window gets a prefix.
+    ``history`` holds the last 1 to PREDICTOR_DEGREE+1 converged states one
+    step apart, oldest first, ending at V_K.  Returns the Newton
+    backward-difference polynomial of degree len(history) - 1 through them,
+    g_j = V_K + j dV_K + j(j+1)/2 d2V_K + j(j+1)(j+2)/6 d3V_K
+    + j(j+1)(j+2)(j+3)/24 d4V_K cut off at that degree, for j = 0..n_steps,
+    clipped cellwise from below at min(V_K, 0): the scheme keeps a
+    nonnegative state nonnegative, and so must the guess.  One row predicts
+    V_K held constant.  The rows do not depend on n_steps, so a shorter
+    window gets a prefix.
     """
-    older, prev, last = history
-    d1 = last - prev
-    d2 = d1 - (prev - older)
+    last = history[-1]
     j = np.arange(n_steps + 1.0).reshape((-1,) + (1,) * last.ndim)
-    guess = last + j * d1 + (0.5 * j * (j + 1.0)) * d2
-    return np.maximum(guess, np.minimum(last, 0.0))
+    guess = np.broadcast_to(last, j.shape[:1] + last.shape)
+    weight = 1.0
+    differences = history
+    for order in range(1, len(history)):
+        differences = np.diff(differences, axis=0)
+        # j(j+1)...(j+order-1)/order!, an integer, so exact in floating point
+        weight = weight * (j + (order - 1.0)) / order
+        guess = guess + weight * differences[-1]
+    floor = np.minimum(last, 0.0)
+    return np.where(guess < floor, floor, guess)
 
 
 def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
@@ -377,11 +396,25 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
     return IterationConstants(data.times, c_w1, c_winf, c_wtv, c_u1, c_uinf, c_utv, c_uw)
 
 
-def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> float:
+@dataclass(frozen=True)
+class WindowPlan:
+    """The first window's length and the a-priori condition it rests on."""
+
+    size: float               # the window solve_coupled starts from
+    a_priori_s: float         # largest dt-multiple with c_uw * window < 1/2
+    c_uw_times_window: float  # c_uw * window at the planned window
+    floored: bool             # the 4 dt floor raised the window above a_priori_s
+
+    @property
+    def condition_held(self) -> bool:
+        return self.c_uw_times_window < 0.5
+
+
+def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> WindowPlan:
     """Largest dt-multiple with (contraction rate) * window < 1/2, floored at 4 dt.
 
     A floored window for which the condition fails is logged as a WARNING
-    with its c_uw * window.
+    with its c_uw * window; the plan records the same facts for the ledger.
     """
     from .calibration import TV_CONST_HYPERBOLIC, TV_CONST_PARABOLIC
 
@@ -394,15 +427,19 @@ def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> float:
                                  TV_CONST_PARABOLIC, TV_CONST_HYPERBOLIC)
     with np.errstate(over="ignore"):
         rate = consts.c_uw * (times - times[0])
-    ok = rate < 0.5
-    largest = times[np.nonzero(ok)[0][-1]] if np.any(ok) else 0.0
+    held = np.flatnonzero(rate < 0.5)
+    last_ok = held[-1] if held.size else 0
     floor = min(4, n_steps)
-    if largest < times[floor] and not ok[floor]:
+    a_priori = float(times[last_ok])
+    plan = WindowPlan(size=min(max(a_priori, 4 * scenario.dt), scenario.horizon),
+                      a_priori_s=a_priori,
+                      c_uw_times_window=float(_saturate(rate[max(last_ok, floor)])),
+                      floored=bool(last_ok < floor))
+    if plan.floored:
         log.warning("window floored at %d steps (%g): c_uw * window = %.3g >= 1/2, so "
                     "the a-priori contraction condition does not hold there",
-                    floor, times[floor], rate[floor])
-    window = max(largest, 4 * scenario.dt)
-    return min(window, scenario.horizon)
+                    floor, times[floor], plan.c_uw_times_window)
+    return plan
 
 
 INITIAL_ITERATES = ("extrapolated", "datum", "zero")
@@ -414,28 +451,32 @@ def _window_start(initial_iterate: str, u_all: np.ndarray, w_all: np.ndarray,
     None for the datum held constant."""
     if initial_iterate == "zero":
         return 0.0, 0.0
-    if initial_iterate == "datum" or step < 2:  # the first window has no history
+    if initial_iterate == "datum":
         return None
-    return (extrapolate_window(u_all[step - 2:step + 1], take),
-            extrapolate_window(w_all[step - 2:step + 1], take))
+    history = slice(max(0, step - PREDICTOR_DEGREE), step + 1)
+    return (extrapolate_window(u_all[history], take),
+            extrapolate_window(w_all[history], take))
 
 
 def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> CoupledTrace:
     """Window-chained fixed-point solve over the whole horizon.
 
     ``initial_iterate`` picks each window's first iterate: ``"extrapolated"``
-    (the quadratic prediction of ``extrapolate_window``), ``"datum"`` (the
-    window's initial state held constant) or ``"zero"``.  Windows are halved
-    on NoContraction; below 4 steps the solve aborts with WindowCollapse.
-    The returned trace holds every step with diagnostics.
+    (the prediction of ``extrapolate_window`` from the last
+    PREDICTOR_DEGREE+1 converged states, or as many as the trace has so far:
+    the datum held constant in the first window), ``"datum"`` (the window's
+    initial state held constant) or ``"zero"``.  The first window is sized by
+    ``initial_window``; windows are halved on NoContraction, and below 4
+    steps the solve aborts with WindowCollapse.  The returned trace holds
+    every step with diagnostics and the first window's plan.
     """
     if initial_iterate not in INITIAL_ITERATES:
         raise ValueError(f"unknown initial iterate {initial_iterate!r}")
     grid = scenario.grid()
     kernel = make_kernel(scenario.ell, grid)
     u_cur, w_cur = scenario.initial_fields(grid)
-    window = initial_window(scenario, grid, kernel)
-    window_steps = max(4, int(round(window / scenario.dt)))
+    plan = initial_window(scenario, grid, kernel)
+    window_steps = max(4, int(round(plan.size / scenario.dt)))
     total_steps = int(round(scenario.horizon / scenario.dt))
     times_all = np.zeros(total_steps + 1)
     u_all = np.empty((total_steps + 1,) + grid.shape)
@@ -475,7 +516,7 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> 
              "iterations per window", len(logs), sum(iterations), halvings,
              max(iterations, default=0))
     return CoupledTrace(Trace(grid, times_all, u_all), Trace(grid, times_all, w_all),
-                        tuple(logs))
+                        tuple(logs), plan)
 
 
 def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
@@ -575,6 +616,7 @@ class BoundsReport:
     lipschitz_flags: dict[str, bool]
     contraction_constant: float   # c_uw at the first window end
     window_size: float
+    window_plan: WindowPlan
     tv_const_parabolic: float
     tv_const_hyperbolic: float
     positivity_min_u: float
@@ -612,6 +654,12 @@ class BoundsReport:
             "lipschitz_flags": self.lipschitz_flags,
             "contraction_constant": self.contraction_constant,
             "window_size": self.window_size,
+            "window": {
+                "a_priori_s": self.window_plan.a_priori_s,
+                "condition_held": self.window_plan.condition_held,
+                "c_uw_times_window": self.window_plan.c_uw_times_window,
+                "floored": self.window_plan.floored,
+            },
             "tv_constants": {
                 "parabolic": self.tv_const_parabolic,
                 "hyperbolic": self.tv_const_hyperbolic,
@@ -684,7 +732,7 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
     idx = int(np.searchsorted(trace.times, trace.times[0] + window_size))
     idx = min(idx, len(trace.times) - 1)
     return BoundsReport(
-        schema_version=1,
+        schema_version=2,
         times=trace.times.tolist(),
         constants={
             **{name: _saturate(getattr(consts, name)).tolist()
@@ -706,6 +754,7 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
         },
         contraction_constant=float(_saturate(consts.c_uw[idx])),
         window_size=float(window_size),
+        window_plan=trace.window_plan,
         tv_const_parabolic=TV_CONST_PARABOLIC,
         tv_const_hyperbolic=TV_CONST_HYPERBOLIC,
         positivity_min_u=float(np.min(trace.u.values)),

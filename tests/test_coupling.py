@@ -2,16 +2,17 @@
 
 import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from predprey import expressions as ex
-from predprey.coupling import (NoContraction, Scenario, WindowCollapse,
-                               compute_bounds_report, extrapolate_window,
-                               freeze_coefficients, initial_window,
-                               lipschitz_in_data_experiment, picard_window,
-                               positivity_audit, solve_coupled,
+from predprey.coupling import (PREDICTOR_DEGREE, NoContraction, Scenario,
+                               WindowCollapse, WindowPlan, compute_bounds_report,
+                               extrapolate_window, freeze_coefficients,
+                               initial_window, lipschitz_in_data_experiment,
+                               picard_window, positivity_audit, solve_coupled,
                                stability_in_controls_experiment)
 from predprey.grid import DomainSpec, Field, norm_l1
 from predprey.parabolic import ParabolicProblem, solve_parabolic
@@ -53,6 +54,11 @@ MILD_SCENARIO = dict(
     w0=ex.parse("0.05*exp(-50*(x-0.7)^2)", ex.Slot.INIT),
     kappa=0.1, k_alpha=0.1, k_beta=0.1,
 )
+
+def fixed_window(size):
+    """Stand-in for ``initial_window`` that plans a first window of ``size``."""
+    return lambda scenario, grid, kernel: WindowPlan(size, size, 0.0, False)
+
 
 ZERO_SCENARIO = dict(
     alpha=ex.parse("0", ex.Slot.ALPHA),
@@ -179,18 +185,19 @@ class TestSolveCoupled:
             assert du < 1e-8
 
     def test_uniqueness_across_initial_iterates(self):
-        s = make_scenario(horizon=0.1)
-        traces = [solve_coupled(s, initial_iterate=start)
-                  for start in ("datum", "zero", "extrapolated")]
-        for t1, t2 in zip(traces, traces[1:] + traces[:1]):
-            dist = max(
-                norm_l1(Field(t1.grid, a - b))
-                for a, b in zip(t1.u.values, t2.u.values)
-            ) + max(
-                norm_l1(Field(t1.grid, a - b))
-                for a, b in zip(t1.w.values, t2.w.values)
-            )
-            assert dist < 2 * s.picard_tol
+        for scheme in ("implicit_euler", "crank_nicolson"):
+            s = make_scenario(horizon=0.1, parabolic_scheme=scheme)
+            traces = [solve_coupled(s, initial_iterate=start)
+                      for start in ("datum", "zero", "extrapolated")]
+            for t1, t2 in zip(traces, traces[1:] + traces[:1]):
+                dist = max(
+                    norm_l1(Field(t1.grid, a - b))
+                    for a, b in zip(t1.u.values, t2.u.values)
+                ) + max(
+                    norm_l1(Field(t1.grid, a - b))
+                    for a, b in zip(t1.w.values, t2.w.values)
+                )
+                assert dist < 2 * s.picard_tol, scheme
 
     def test_window_collapse_on_hopeless_tolerance(self):
         s = make_scenario(picard_tol=1e-300, picard_max_iter=2, horizon=0.1)
@@ -202,20 +209,30 @@ class TestSolveCoupled:
             solve_coupled(make_scenario(), initial_iterate="previous")
 
     def test_shipped_scenario_iterations(self):
-        # the datum start needs 4 iterations in each of the 25 windows
+        # the datum start needs 4 iterations in each of the 25 windows; the
+        # quartic prediction takes 57 in all (the quadratic one took 76)
         s = load_scenario(SHIPPED)
         trace = solve_coupled(s)
         assert len(trace.window_logs) == 25
         assert all(wl.converged for wl in trace.window_logs)
-        assert sum(wl.iterations for wl in trace.window_logs) <= 80
+        assert sum(wl.iterations for wl in trace.window_logs) <= 57
         assert sum(wl.iterations for wl in solve_coupled(s, "datum").window_logs) == 100
+
+    def test_shipped_scenario_long_horizon_iterations(self):
+        # 200 four-step windows to T = 4: 343 iterations from the quartic
+        # prediction, against 543 from the quadratic and 800 from the datum
+        s = replace(load_scenario(SHIPPED), horizon=4.0)
+        trace = solve_coupled(s)
+        assert len(trace.window_logs) == 200
+        assert all(wl.converged for wl in trace.window_logs)
+        assert sum(wl.iterations for wl in trace.window_logs) <= 350
 
     def test_run_summary_line(self, caplog, monkeypatch):
         import predprey.coupling as cp
 
         # an oversized first window fails and is halved twice
         s = make_scenario(**MILD_SCENARIO, picard_max_iter=2, picard_tol=1e-5)
-        monkeypatch.setattr(cp, "initial_window", lambda scenario, grid, kernel: 0.2)
+        monkeypatch.setattr(cp, "initial_window", fixed_window(0.2))
         with caplog.at_level(logging.INFO, logger="predprey.coupling"):
             trace = solve_coupled(s)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
@@ -236,50 +253,65 @@ class TestSolveCoupled:
                 raise NoContraction("forced")
             return picard_window(*args, start=start)
 
-        monkeypatch.setattr(cp, "initial_window", lambda scenario, grid, kernel: 0.04)
+        monkeypatch.setattr(cp, "initial_window", fixed_window(0.04))
         monkeypatch.setattr(cp, "picard_window", second_window_fails_once)
         trace = cp.solve_coupled(s)
         assert [round((wl.t1 - wl.t0) / s.dt) for wl in trace.window_logs][:2] == [8, 4]
-        assert calls[0] is None  # the first window has no history
+        # the first window's one-row history predicts the datum held constant
+        for first, datum in zip(calls[0], s.initial_fields(s.grid())):
+            assert first.shape[0] == 9
+            assert all(row.tobytes() == datum.values.tobytes() for row in first)
         for full, halved in zip(calls[1], calls[2]):
             assert full.shape[0] == 9 and halved.shape[0] == 5
             assert np.array_equal(halved, full[:5])
 
 
 class TestPredictor:
-    def test_exact_on_quadratic_data(self):
-        # states quadratic in time, one row per step j
-        x = np.linspace(0.0, 1.0, 16)
+    @pytest.mark.parametrize("rows", range(1, PREDICTOR_DEGREE + 2))
+    def test_exact_on_polynomial_data(self, rows):
+        # states polynomial in time of degree rows - 1, one row per step j;
+        # dyadic coefficients keep every intermediate exact, so only the
+        # formula is under test
+        rng = np.random.default_rng(rows)
+        coefficients = rng.integers(0, 64, (rows, 16)) / 64.0
 
         def state(j):
-            return 0.3 + 0.2 * x + (0.05 - 0.1 * x) * j + 0.01 * (1 + x) * j * j
+            return sum(c * float(j) ** k for k, c in enumerate(coefficients))
 
-        history = np.stack([state(-2), state(-1), state(0)])
+        history = np.stack([state(j) for j in range(1 - rows, 1)])
         predicted = extrapolate_window(history, 8)
         expected = np.stack([state(j) for j in range(9)])
         assert predicted.shape == (9, 16)
         assert np.allclose(predicted, expected, rtol=1e-14, atol=1e-14)
         assert np.array_equal(predicted[0], history[-1])
 
+    def test_one_row_is_the_datum_bit_for_bit(self):
+        datum = np.array([[0.5, -0.0, 0.0], [-1.5, 1e-300, 2.0]])
+        predicted = extrapolate_window(datum[None], 6)
+        assert predicted.shape == (7, 2, 3)
+        assert all(row.tobytes() == datum.tobytes() for row in predicted)
+
     def test_clip_keeps_the_sign_of_the_datum(self):
         # a decaying nonnegative cell whose extrapolation crosses zero, a
-        # negative cell that keeps falling, and a growing cell left alone
-        history = np.array([[1.0, -0.1, 0.1],
-                            [0.7, -0.2, 0.2],
-                            [0.3, -0.3, 0.4]])
-        j = np.arange(5.0)[:, None]
-        raw = (history[2] + j * (history[2] - history[1])
-               + 0.5 * j * (j + 1) * (history[2] - 2 * history[1] + history[0]))
+        # negative cell that keeps falling, and a growing cell left alone;
+        # each cell is a quadratic in time, so the quartic extrapolates it
+        def state(t):
+            return np.array([0.3 - 0.35 * t - 0.05 * t * t,
+                             -0.3 - 0.1 * t,
+                             0.4 + 0.2 * t + 0.01 * t * t])
+
+        history = np.stack([state(t) for t in range(-4, 1)])
+        raw = np.stack([state(t) for t in range(5)])
         predicted = extrapolate_window(history, 4)
         assert np.all(raw[1:, :2] < 0.0) and np.all(raw[:, 2] > 0.0)
         assert predicted[0, 0] == 0.3 and np.all(predicted[1:, 0] == 0.0)
         # below a negative datum the floor is the datum itself
         assert np.all(predicted[:, 1] == -0.3)
-        assert np.allclose(predicted[:, 2], raw[:, 2], rtol=1e-14, atol=0.0)
+        assert np.allclose(predicted[:, 2], raw[:, 2], rtol=1e-14, atol=1e-14)
 
     def test_prefix_does_not_depend_on_window_length(self):
         rng = np.random.default_rng(5)
-        history = rng.uniform(0.0, 1.0, (3, 4, 5))
+        history = rng.uniform(0.0, 1.0, (5, 4, 5))
         assert np.array_equal(extrapolate_window(history, 3), extrapolate_window(history, 9)[:4])
 
 
@@ -289,7 +321,7 @@ class TestInitialWindow:
         grid = s.grid()
         with caplog.at_level(logging.WARNING, logger="predprey.coupling"):
             window = initial_window(s, grid, make_kernel(s.ell, grid))
-        assert window == pytest.approx(4 * s.dt)
+        assert window.size == pytest.approx(4 * s.dt)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert "floored at 4 steps" in warnings[0] and "c_uw * window = 0.708" in warnings[0]
@@ -299,8 +331,25 @@ class TestInitialWindow:
         grid = s.grid()
         with caplog.at_level(logging.WARNING, logger="predprey.coupling"):
             window = initial_window(s, grid, make_kernel(s.ell, grid))
-        assert window > 4 * s.dt
+        assert window.size > 4 * s.dt
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    @pytest.mark.parametrize("scenario,floored", [
+        (lambda: load_scenario(SHIPPED), True),
+        (lambda: make_scenario(**MILD_SCENARIO), False),
+    ], ids=["shipped", "mild"])
+    def test_ledger_records_the_window_floor(self, scenario, floored):
+        s = scenario()
+        window = compute_bounds_report(solve_coupled(s), s).to_dict()["window"]
+        assert window["floored"] is floored
+        assert window["condition_held"] is (not floored)
+        assert (window["c_uw_times_window"] >= 0.5) is floored
+        if floored:
+            # the a-priori window is shorter than the 4 dt floor
+            assert window["a_priori_s"] < 4 * s.dt
+            assert window["c_uw_times_window"] == pytest.approx(0.708, abs=5e-4)
+        else:
+            assert window["a_priori_s"] > 4 * s.dt
 
 
 class TestBoundsReport:
@@ -338,7 +387,7 @@ class TestBoundsReport:
         assert not report.lipschitz_flags["alpha_exceeds_declared"]
         assert not report.lipschitz_flags["beta_exceeds_declared"]
         payload = report.to_dict()
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert len(payload["checks"]) == len(report.checks)
 
     def test_understated_constants_get_flagged(self):
@@ -436,7 +485,7 @@ def test_window_halving_recovers_from_oversized_window(monkeypatch):
     import predprey.coupling as cp
 
     s = make_scenario(horizon=0.2, picard_max_iter=4)
-    monkeypatch.setattr(cp, "initial_window", lambda scenario, grid, kernel: 0.2)
+    monkeypatch.setattr(cp, "initial_window", fixed_window(0.2))
     trace = cp.solve_coupled(s)
     assert trace.times[-1] == pytest.approx(0.2)
     assert all(wl.converged for wl in trace.window_logs)

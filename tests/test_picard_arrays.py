@@ -3,8 +3,8 @@
 The oracle below is the slow path: coefficients frozen one snapshot at a
 time, read back through ``at(t)`` with the original bracket-and-blend rule,
 and marched one ``fv_upwind_step``/``step_parabolic`` call per step.  The
-array path must reproduce it bit for bit, from the datum start and from a
-predicted start, and must still fail the same way.
+array path must reproduce it bit for bit, from the datum start and from the
+quadratic and quartic predicted starts, and must still fail the same way.
 """
 
 import numpy as np
@@ -142,8 +142,9 @@ def test_array_window_matches_field_loop_bit_for_bit(extra):
 
 @pytest.mark.parametrize(**CASES)
 def test_predicted_start_matches_field_loop_bit_for_bit(extra):
-    # the second window of a chained solve, started from the quadratic
-    # prediction through the first window's last three states
+    # the second window of a chained solve, started from the quadratic and
+    # from the quartic prediction through the first window's last three and
+    # five states
     s = make_scenario(**extra)
     grid = s.grid()
     kernel = make_kernel(s.ell, grid)
@@ -151,19 +152,23 @@ def test_predicted_start_matches_field_loop_bit_for_bit(extra):
     t0, t1 = 7 * s.dt, 15 * s.dt
     u_first, w_first, _ = picard_window(s, grid, kernel, 0.0, t0, u0, w0,
                                         s.picard_tol, s.picard_max_iter)
-    start = (extrapolate_window(u_first.values[-3:], 8),
-             extrapolate_window(w_first.values[-3:], 8))
     u_init, w_init = u_first.final(), w_first.final()
-    u_ref, w_ref, diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start)
-    u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u_init, w_init,
-                                     s.picard_tol, s.picard_max_iter, start=start)
-    assert len(diffs) > 1
-    assert wlog.diffs == tuple(diffs)
-    assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
-    assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
-    # the prediction starts closer to the fixed point than the datum does
     _, _, datum_diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init)
-    assert diffs[0] < datum_diffs[0]
+    for rows in (3, 5):
+        start = (extrapolate_window(u_first.values[-rows:], 8),
+                 extrapolate_window(w_first.values[-rows:], 8))
+        u_ref, w_ref, diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start)
+        u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u_init, w_init,
+                                         s.picard_tol, s.picard_max_iter, start=start)
+        if rows == 3:
+            # the quartic start may settle in one iteration; the quadratic
+            # one exercises the iterate handover
+            assert len(diffs) > 1
+        assert wlog.diffs == tuple(diffs)
+        assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
+        assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
+        # the prediction starts closer to the fixed point than the datum does
+        assert diffs[0] < datum_diffs[0]
 
 
 def test_array_march_raises_cfl_violation():
