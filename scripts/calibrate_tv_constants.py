@@ -13,10 +13,10 @@ import argparse
 
 import numpy as np
 
-from predprey.grid import (DomainSpec, Field, build_grid, norm_l1, norm_linf,
-                           total_variation)
+from predprey.grid import (DomainSpec, Field, build_grid, divergence, gradient_components,
+                           norm_l1, norm_linf, total_variation)
 from predprey.parabolic import ParabolicProblem, Scheme, solve_parabolic
-from predprey.series import ConstantFieldSeries, ConstantVectorSeries
+from predprey.series import constant
 from predprey.transport import TransportProblem, solve_hyperbolic
 from predprey.velocity import make_kernel, velocity
 
@@ -46,19 +46,19 @@ def parabolic_quotients(seed: int, count: int) -> list[float]:
         grid = build_grid(spec, n)
         mu = rng.uniform(0.02, 0.2)
         w0 = random_field(grid, rng, nonneg=True)
-        B = ConstantFieldSeries(random_field(grid, rng, amplitude=2.0))
-        b = ConstantFieldSeries(random_field(grid, rng, nonneg=True))
+        B = random_field(grid, rng, amplitude=2.0)
+        b = random_field(grid, rng, nonneg=True)
         T = rng.uniform(0.05, 0.3)
-        b_sup = norm_linf(B.value)
+        b_sup = norm_linf(B)
         dt = min(0.5 / (b_sup + 1e-9), T / 20)
-        trace = solve_parabolic(ParabolicProblem(grid, mu, B, b, w0), T,
-                                Scheme("implicit_euler", dt))
+        problem = ParabolicProblem(grid, mu, constant(B.values), constant(b.values), w0)
+        trace = solve_parabolic(problem, T, Scheme("implicit_euler", dt))
         times = trace.times
         for i in range(1, len(times)):
             t = times[i]
-            base = total_variation(w0) + t * total_variation(b.value)
+            base = total_variation(w0) + t * total_variation(b)
             denom = (np.sqrt(t) * b_sup
-                     * (norm_l1(w0) + t * norm_l1(b.value)) * np.exp(b_sup * t))
+                     * (norm_l1(w0) + t * norm_l1(b)) * np.exp(b_sup * t))
             if denom > 1e-12:
                 quotients.append((trace.tv[i] - base) / denom)
     return quotients
@@ -74,22 +74,23 @@ def hyperbolic_quotients(seed: int, count: int) -> list[float]:
         kernel = make_kernel(rng.uniform(0.15, 0.3), grid)
         w = random_field(grid, rng, nonneg=True)
         kappa = rng.uniform(0.2, 1.0)
-        c = ConstantVectorSeries(velocity(w, kernel, kappa))
+        c = velocity(w, kernel, kappa)
         u0 = random_field(grid, rng, nonneg=True)
-        A = ConstantFieldSeries(random_field(grid, rng, amplitude=1.5))
-        a = ConstantFieldSeries(random_field(grid, rng, nonneg=True))
+        A = random_field(grid, rng, amplitude=1.5)
+        a = random_field(grid, rng, nonneg=True)
         T = rng.uniform(0.05, 0.3)
-        cmax = float(np.max(np.abs(c.value.components)))
+        cmax = float(np.max(np.abs(c.components)))
         dt = 0.45 * min(grid.dx) / max(cmax, 1e-9)
-        dt = min(dt, 0.25 / (norm_linf(A.value) + 1e-9), T / 10)
-        trace = solve_hyperbolic(TransportProblem(grid, c, A, a, u0), T, dt)
-        from predprey.grid import divergence, gradient_components
-        div = divergence(c.value)
+        dt = min(dt, 0.25 / (norm_linf(A) + 1e-9), T / 10)
+        problem = TransportProblem(grid, constant(c.components), constant(A.values),
+                                   constant(a.values), u0)
+        trace = solve_hyperbolic(problem, T, dt)
+        div = divergence(c)
         grad_div_l1 = float(np.sum(np.abs(
             gradient_components(div.values, grid)[0])) * grid.cell_volume)
-        dxc = float(np.max(np.abs(gradient_components(c.value.components[0], grid)[0])))
-        a_sup, a_tv, a_l1 = norm_linf(a.value), total_variation(a.value), norm_l1(a.value)
-        A_sup, A_tv = norm_linf(A.value), total_variation(A.value)
+        dxc = float(np.max(np.abs(gradient_components(c.components[0], grid)[0])))
+        a_sup, a_tv, a_l1 = norm_linf(a), total_variation(a), norm_l1(a)
+        A_sup, A_tv = norm_linf(A), total_variation(A)
         u0_sup = norm_linf(u0)
         for i in range(1, len(trace.times)):
             t = trace.times[i]

@@ -212,18 +212,23 @@ def total_variation(f: Field) -> float:
     return float(total_variations(f.values, f.grid))
 
 
-def interior_variation(f: Field) -> float:
-    """Variation over the open domain only, no exterior jumps.
+def interior_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Variation per field of a stack over the open domain only, no exterior jumps.
 
     The right notion for coefficient fields, which need not vanish at the
-    boundary; solution fields use total_variation (zero Dirichlet extension).
+    boundary; solution fields use total_variations (zero Dirichlet extension).
     """
-    v = f.values
-    if f.grid.dim == 1:
-        return float(np.sum(np.abs(np.diff(v))))
-    dx, dy = f.grid.dx
-    return float(np.sum(np.abs(np.diff(v, axis=0))) * dy
-                 + np.sum(np.abs(np.diff(v, axis=1))) * dx)
+    v = values
+    if grid.dim == 1:
+        return np.sum(np.abs(np.diff(v, axis=-1)), axis=-1)
+    dx, dy = grid.dx
+    return (np.sum(np.abs(_per_field(np.diff(v, axis=-2), grid)), axis=-1) * dy
+            + np.sum(np.abs(_per_field(np.diff(v, axis=-1), grid)), axis=-1) * dx)
+
+
+def interior_variation(f: Field) -> float:
+    """Variation over the open domain only (see interior_variations)."""
+    return float(interior_variations(f.values, f.grid))
 
 
 def interp_values(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -274,9 +279,14 @@ def gradient_components(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return [grads] if grid.dim == 1 else list(grads)
 
 
+def divergences(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete divergence of one sampled velocity (dim, *grid.shape) or of
+    each velocity of a stack (n, dim, *grid.shape)."""
+    axis = values.ndim - grid.dim - 1
+    return sum(gradient_components(np.take(values, k, axis=axis), grid)[k]
+               for k in range(grid.dim))
+
+
 def divergence(vf: VectorField) -> Field:
     """Discrete divergence of a sampled velocity field."""
-    total = np.zeros(vf.grid.shape)
-    for k in range(vf.grid.dim):
-        total += gradient_components(vf.components[k], vf.grid)[k]
-    return Field(vf.grid, total)
+    return Field(vf.grid, divergences(vf.components, vf.grid))

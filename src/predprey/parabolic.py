@@ -26,8 +26,10 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .grid import Field, Grid, l1_norms, norm_l1, norm_linf, require_finite, total_variation
-from .series import FieldSeries, Trace, cumulative_left_riemann, interpolate, step_times
+from .grid import (Field, Grid, l1_norms, linf_norms, norm_l1, norm_linf, require_finite,
+                   total_variation, total_variations)
+from .series import (InequalityCheck, Series, Trace, cumulative_left_riemann, grade,
+                     sampled, stack_or_zeros, step_times)
 from .testfunctions import SineTestFunction
 
 
@@ -47,8 +49,8 @@ class StiffReaction(ValueError):
 class ParabolicProblem:
     grid: Grid
     mu: float
-    B: FieldSeries | None  # reaction coefficient, may be None for 0
-    b: FieldSeries | None  # source, may be None for 0
+    B: Series | None  # reaction coefficient, may be None for 0
+    b: Series | None  # source, may be None for 0
     w0: Field
 
     def __post_init__(self):
@@ -146,8 +148,11 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
         if n_time % 2 == 1:
             n_time += 1
         taus = np.linspace(0.0, t, n_time + 1)
+        # contiguous rows: a constant source comes as a broadcast view, and
+        # the matrix product sums a stride-0 row in another order
         b_hat = np.stack(
-            [(2.0 / length) * (s.T @ problem.b.at(tau).values) * vol for tau in taus]
+            [(2.0 / length) * (s.T @ np.ascontiguousarray(b_tau)) * vol
+             for b_tau in problem.b(taus)]
         )  # (n_time+1, n_terms)
         kernel = np.exp(-problem.mu * freq[None, :] ** 2 * (t - taus)[:, None])
         mode_integrals = integrate.simpson(kernel * b_hat, x=taus, axis=0)
@@ -205,7 +210,7 @@ def coefficient_rows(times: np.ndarray, snapshots: np.ndarray, kind: str) -> np.
     step at its coefficient_times: the stored left-end row for backward
     Euler, the blend of the step's two ends for the trapezoidal scheme."""
     if kind == "crank_nicolson":
-        return interpolate(times, snapshots, coefficient_times(times, kind))
+        return sampled(times, snapshots)(coefficient_times(times, kind))
     return snapshots[:-1]
 
 
@@ -294,46 +299,22 @@ def solve_parabolic(problem: ParabolicProblem, T: float, scheme: Scheme,
 
     Steps are uniform at scheme.dt with a short final step landing exactly on
     the end time when T is not a multiple of dt.  The coefficients of all
-    steps are fetched in one ``stack`` call per series.
+    steps are fetched in one call per series.
     """
     times = step_times(T, scheme.dt, t_start)
     t_coeff = coefficient_times(times, scheme.kind)
     states = march_imex(
         problem.w0.values,
-        problem.B.stack(t_coeff) if problem.B is not None else None,
-        problem.b.stack(t_coeff) if problem.b is not None else None,
+        problem.B(t_coeff) if problem.B is not None else None,
+        problem.b(t_coeff) if problem.b is not None else None,
         step_sizes(times, scheme.dt), problem.mu, scheme.kind, problem.grid,
     )
     return Trace(problem.grid, times, states)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def margins(self) -> np.ndarray:
-        return self.rhs - self.lhs
-
-    def passed(self, rel_slack: float = 1e-6) -> bool:
-        return bool(np.all(self.lhs <= self.rhs * (1.0 + rel_slack) + 1e-14))
-
-
-@dataclass(frozen=True)
-class ParabolicBoundsReport:
-    l1: BoundCheck
-    linf: BoundCheck
-    tv: BoundCheck
-
-    def all_passed(self, rel_slack: float = 1e-6) -> bool:
-        return all(c.passed(rel_slack) for c in (self.l1, self.linf, self.tv))
-
-
 def check_parabolic_bounds(trace: Trace, problem: ParabolicProblem,
-                           tv_constant: float | None = None) -> ParabolicBoundsReport:
+                           tv_constant: float | None = None
+                           ) -> tuple[InequalityCheck, InequalityCheck, InequalityCheck]:
     """Evaluate the L1 / sup / TV a-priori bounds against the measured trace.
 
     The TV bound's unquantified O(1) factor is replaced by the frozen
@@ -346,14 +327,10 @@ def check_parabolic_bounds(trace: Trace, problem: ParabolicProblem,
         tv_constant = TV_CONST_PARABOLIC
     times = trace.times
     t0 = times[0]
-    B_sup = np.array(
-        [norm_linf(problem.B.at(t)) if problem.B is not None else 0.0 for t in times]
-    )
-    b_l1 = np.array([norm_l1(problem.b.at(t)) if problem.b is not None else 0.0 for t in times])
-    b_sup = np.array([norm_linf(problem.b.at(t)) if problem.b is not None else 0.0 for t in times])
-    b_tv = np.array(
-        [total_variation(problem.b.at(t)) if problem.b is not None else 0.0 for t in times]
-    )
+    grid = problem.grid
+    b = stack_or_zeros(problem.b, times, grid)
+    B_sup = linf_norms(stack_or_zeros(problem.B, times, grid), grid)
+    b_l1, b_sup, b_tv = l1_norms(b, grid), linf_norms(b, grid), total_variations(b, grid)
     int_B = cumulative_left_riemann(B_sup, times)
     int_b_l1 = cumulative_left_riemann(b_l1, times)
     int_b_sup = cumulative_left_riemann(b_sup, times)
@@ -368,25 +345,13 @@ def check_parabolic_bounds(trace: Trace, problem: ParabolicProblem,
     B_window = np.maximum.accumulate(B_sup)
     rhs_tv = (w0_tv + int_b_tv
               + tv_constant * np.sqrt(elapsed) * B_window * (w0_l1 + int_b_l1) * growth)
-    return ParabolicBoundsReport(
-        l1=BoundCheck("w_l1_vs_data", times, trace.l1, rhs_l1),
-        linf=BoundCheck("w_linf_vs_data", times, trace.linf, rhs_sup),
-        tv=BoundCheck("w_tv_vs_data", times, trace.tv, rhs_tv),
-    )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    def passed(self, rel_slack: float = 1e-6) -> bool:
-        return bool(np.all(self.lhs <= self.rhs * (1.0 + rel_slack) + 1e-12))
+    return (grade("w_l1_vs_data", times, trace.l1, rhs_l1),
+            grade("w_linf_vs_data", times, trace.linf, rhs_sup),
+            grade("w_tv_vs_data", times, trace.tv, rhs_tv))
 
 
 def parabolic_stability_experiment(problem1: ParabolicProblem, problem2: ParabolicProblem,
-                                   T: float, scheme: Scheme) -> StabilityReport:
+                                   T: float, scheme: Scheme) -> InequalityCheck:
     """Measured distance of two solutions against the explicit stability bound.
 
     RHS = (|w01-w02|_L1 + |b1-b2|_L1) exp(int |B1|)
@@ -395,36 +360,23 @@ def parabolic_stability_experiment(problem1: ParabolicProblem, problem2: Parabol
     tr1 = solve_parabolic(problem1, T, scheme)
     tr2 = solve_parabolic(problem2, T, scheme)
     times = tr1.times
-    lhs = l1_norms(tr1.values - tr2.values, tr1.grid)
-
-    def series_vals(series, fn):
-        return np.array([fn(series.at(t)) if series is not None else 0.0 for t in times])
-
-    B1_sup = series_vals(problem1.B, norm_linf)
-    B2_sup = series_vals(problem2.B, norm_linf)
-    dB_l1 = np.array([
-        norm_l1(_diff_field(problem1.B, problem2.B, t, problem1.grid)) for t in times
-    ])
-    db_l1 = np.array([
-        norm_l1(_diff_field(problem1.b, problem2.b, t, problem1.grid)) for t in times
-    ])
-    b2_sup = series_vals(problem2.b, norm_linf)
+    grid = problem1.grid
+    lhs = l1_norms(tr1.values - tr2.values, grid)
+    B1 = stack_or_zeros(problem1.B, times, grid)
+    B2 = stack_or_zeros(problem2.B, times, grid)
+    b1 = stack_or_zeros(problem1.b, times, grid)
+    b2 = stack_or_zeros(problem2.b, times, grid)
+    B1_sup, B2_sup = linf_norms(B1, grid), linf_norms(B2, grid)
     int_B1 = cumulative_left_riemann(B1_sup, times)
     int_B12 = cumulative_left_riemann(B1_sup + B2_sup, times)
-    int_dB = cumulative_left_riemann(dB_l1, times)
-    int_db = cumulative_left_riemann(db_l1, times)
-    int_b2_sup = cumulative_left_riemann(b2_sup, times)
-    dw0 = norm_l1(Field(problem1.grid, problem1.w0.values - problem2.w0.values))
+    int_dB = cumulative_left_riemann(l1_norms(B1 - B2, grid), times)
+    int_db = cumulative_left_riemann(l1_norms(b1 - b2, grid), times)
+    int_b2_sup = cumulative_left_riemann(linf_norms(b2, grid), times)
+    dw0 = norm_l1(Field(grid, problem1.w0.values - problem2.w0.values))
     w02_sup = norm_linf(problem2.w0)
     rhs = ((dw0 + int_db) * np.exp(int_B1)
            + int_dB * (w02_sup + int_b2_sup) * np.exp(int_B12))
-    return StabilityReport(times, lhs, rhs)
-
-
-def _diff_field(s1, s2, t: float, grid: Grid) -> Field:
-    v1 = s1.at(t).values if s1 is not None else 0.0
-    v2 = s2.at(t).values if s2 is not None else 0.0
-    return Field(grid, np.broadcast_to(np.asarray(v1) - np.asarray(v2), grid.shape).copy())
+    return grade("w_stability", times, lhs, rhs)
 
 
 def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
@@ -440,6 +392,8 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
     grid = problem.grid
     vol = grid.cell_volume
     times = trace.times
+    B = None if problem.B is None else problem.B(times)
+    b = None if problem.b is None else problem.b(times)
     residuals = []
     for tf in test_functions:
         s_vals = tf.space_values(grid)
@@ -451,10 +405,10 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
             qdot = float(tf.time_derivative(t))
             term = qdot * np.sum(w * s_vals) + qt * problem.mu * np.sum(w * s_lap)
             react = np.zeros(grid.shape)
-            if problem.B is not None:
-                react = react + problem.B.at(t).values * w
-            if problem.b is not None:
-                react = react + problem.b.at(t).values
+            if B is not None:
+                react = react + B[i] * w
+            if b is not None:
+                react = react + b[i]
             term += qt * np.sum(react * s_vals)
             integrand[i] = term * vol
         space_time = integrate.simpson(integrand, x=times)

@@ -1,20 +1,26 @@
-"""Time-indexed grid data: coefficient series and the array-backed trace.
+"""Time-indexed grid data: coefficient series, the array-backed trace, and
+the one grading rule of every bound check.
 
-Both solvers consume coefficients as "series" objects.  ``at(t)`` returns
-one Field (or VectorField); ``stack(times)`` returns the values at many
-times as one array of shape (len(times), *grid.shape) (vector series:
-(len(times), dim, *grid.shape)), which is how the solvers fetch a whole
-march's coefficients in one call.  Snapshot-backed series interpolate
-linearly in time and clamp outside the stored range, matching the freezing
-strategy of the fixed-point coupling; asked for a stored time they return
-the stored snapshot exactly.
+A series is any callable ``times -> stack``: asked for an array of times it
+returns the values there as one array of shape (len(times), *shape), where
+shape is grid.shape for a scalar coefficient and (dim, *grid.shape) for a
+velocity.  A problem that holds ``None`` in place of a series means 0.
+``constant`` holds one value for all times; ``sampled`` blends snapshots
+linearly in time and clamps outside the stored range, matching the freezing
+strategy of the fixed-point coupling, and returns a stored snapshot exactly
+when asked for its time.  An expression is a series as
+``functools.partial(expressions.sample_stack, expr, grid)``.
 
 A Trace holds a solver's output as one (n_times, *grid.shape) array; its
 norms are axis reductions over that array, computed on first use.
+
+Every a-priori estimate is checked as ``lhs <= rhs`` at each stored time by
+``grade``, which returns an ``InequalityCheck``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,110 +28,47 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (Field, Grid, GridError, VectorField, l1_norms, linf_norms,
-                   require_finite, total_variations)
+from .grid import (Field, Grid, GridError, l1_norms, linf_norms, require_finite,
+                   total_variations)
+
+log = logging.getLogger(__name__)
+
+Series = Callable[[np.ndarray], np.ndarray]
 
 
-class FieldSeries:
-    def at(self, t: float) -> Field:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def stack(self, times: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
+def constant(values) -> Series:
+    """One value for all times: each stack is a read-only broadcast view."""
+    values = np.asarray(values, dtype=float)
+    return lambda times: np.broadcast_to(values, (len(times),) + values.shape)
 
 
-class VectorSeries:
-    def at(self, t: float) -> VectorField:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def stack(self, times: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-def _broadcast(value: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(value, (len(times),) + value.shape)
-
-
-@dataclass(frozen=True)
-class ConstantFieldSeries(FieldSeries):
-    value: Field
-
-    def at(self, t: float) -> Field:
-        return self.value
-
-    def stack(self, times: np.ndarray) -> np.ndarray:
-        return _broadcast(self.value.values, times)
-
-
-@dataclass(frozen=True)
-class FuncFieldSeries(FieldSeries):
-    fn: Callable[[float], Field]
-
-    def at(self, t: float) -> Field:
-        return self.fn(t)
-
-    def stack(self, times: np.ndarray) -> np.ndarray:
-        return np.stack([self.fn(t).values for t in times])
-
-
-@dataclass(frozen=True)
-class ConstantVectorSeries(VectorSeries):
-    value: VectorField
-
-    def at(self, t: float) -> VectorField:
-        return self.value
-
-    def stack(self, times: np.ndarray) -> np.ndarray:
-        return _broadcast(self.value.components, times)
-
-
-def interpolate(times: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Snapshots ``values`` (one per entry of ``times``) blended linearly at ``ts``.
+def sampled(times: np.ndarray, values: np.ndarray) -> Series:
+    """Snapshots ``values`` (one per entry of ``times``) blended linearly in time.
 
     Clamped outside [times[0], times[-1]]; a query that lands on a stored
     time returns that snapshot unblended.
     """
-    ts = np.asarray(ts, dtype=float)
-    # last stored time <= ts; the first one for ts before the range
-    i0 = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
-    out = values[i0]
-    blend = np.flatnonzero((ts != times[i0]) & (ts > times[0]) & (ts < times[-1]))
-    if blend.size:
-        j = i0[blend]
-        lam = (ts[blend] - times[j]) / (times[j + 1] - times[j])
-        weight = lam.reshape((-1,) + (1,) * (values.ndim - 1))
-        out[blend] = (1 - weight) * values[j] + weight * values[j + 1]
-    return out
+    def at(ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        # last stored time <= ts; the first one for ts before the range
+        i0 = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
+        out = values[i0]
+        blend = np.flatnonzero((ts != times[i0]) & (ts > times[0]) & (ts < times[-1]))
+        if blend.size:
+            j = i0[blend]
+            lam = (ts[blend] - times[j]) / (times[j + 1] - times[j])
+            weight = lam.reshape((-1,) + (1,) * (values.ndim - 1))
+            out[blend] = (1 - weight) * values[j] + weight * values[j + 1]
+        return out
+
+    return at
 
 
-@dataclass(frozen=True)
-class SampledFieldSeries(FieldSeries):
-    """Snapshots ``values`` (n, *grid.shape) at ascending ``times``."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray
-
-    def at(self, t: float) -> Field:
-        return Field(self.grid, self.stack(np.array([t]))[0])
-
-    def stack(self, times: np.ndarray) -> np.ndarray:
-        return interpolate(self.times, self.values, times)
-
-
-@dataclass(frozen=True)
-class SampledVectorSeries(VectorSeries):
-    """Snapshots ``values`` (n, dim, *grid.shape) at ascending ``times``."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray
-
-    def at(self, t: float) -> VectorField:
-        return VectorField(self.grid, self.stack(np.array([t]))[0])
-
-    def stack(self, times: np.ndarray) -> np.ndarray:
-        return interpolate(self.times, self.values, times)
+def stack_or_zeros(series: Series | None, times: np.ndarray, grid: Grid) -> np.ndarray:
+    """A scalar series at ``times``; zeros for the ``None`` series."""
+    if series is None:
+        return np.zeros((len(times),) + grid.shape)
+    return series(times)
 
 
 @dataclass(frozen=True)
@@ -190,3 +133,50 @@ def cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray
     dt = np.diff(times)
     out[1:] = np.cumsum(values[:-1] * dt)
     return out
+
+
+@dataclass(frozen=True)
+class InequalityCheck:
+    """One estimate ``lhs <= rhs`` at each of ``times``, graded by ``grade``."""
+
+    name: str
+    times: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: bool
+
+    @property
+    def min_margin(self) -> float:
+        return float(np.min(self.rhs - self.lhs))
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def saturate(x: np.ndarray) -> np.ndarray:
+    """Products of capped exponentials can still overflow to inf: bound
+    values are held at the largest float, which keeps them finite and
+    JSON-safe without changing any verdict."""
+    return np.minimum(x, _FLOAT_MAX)
+
+
+def grade(name: str, times: np.ndarray, lhs: np.ndarray,
+          rhs: np.ndarray) -> InequalityCheck:
+    """Grade lhs <= rhs * (1 + 1e-6) + 1e-14 at every time.
+
+    The relative slack absorbs the rounding of the products and integrals
+    that build a right-hand side, the absolute one the rounding of norms
+    that are 0 in exact arithmetic.  An rhs saturated at the largest float
+    holds vacuously; each check with such entries logs a warning naming the
+    first saturated time, so the vacuous bound stays visible.
+    """
+    lhs = np.asarray(lhs, dtype=float)
+    with np.errstate(over="ignore"):
+        rhs = saturate(np.asarray(rhs, dtype=float))
+        ok = bool(np.all(lhs <= rhs * (1 + 1e-6) + 1e-14))
+    saturated = np.flatnonzero(rhs == _FLOAT_MAX)
+    if saturated.size:
+        log.warning("check %s: rhs saturated at the largest float from t=%.17g on "
+                    "(%d of %d times); the bound is vacuous there",
+                    name, times[saturated[0]], saturated.size, len(rhs))
+    return InequalityCheck(name, times, lhs, rhs, ok)

@@ -9,6 +9,7 @@ error.  Orders are least-squares slopes of log error against log resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import expressions as ex
 from .coupling import Scenario
 from .grid import Field, build_grid, norm_l1, norm_linf
 from .parabolic import ParabolicProblem, Scheme, duhamel_reference, solve_parabolic
-from .series import ConstantFieldSeries, ConstantVectorSeries, FuncFieldSeries
+from .series import constant
 from .transport import TransportProblem, characteristics_solution_field, solve_hyperbolic
 from .velocity import make_kernel, velocity
 
@@ -59,11 +60,11 @@ def hyperbolic_oracle_study(scenario: Scenario, resolutions, t_final: float | No
         w0 = ex.sample_field(scenario.w0, grid, 0.0)
         u0 = ex.sample_field(scenario.u0, grid, 0.0)
         kernel = make_kernel(scenario.ell, grid)
-        c = ConstantVectorSeries(velocity(w0, kernel, scenario.kappa, scenario.attract))
-        A = ConstantFieldSeries(ex.sample_field(scenario.alpha, grid, 0.0, w=w0))
-        a = FuncFieldSeries(lambda t, g=grid: ex.sample_field(scenario.a, g, t))
-        problem = TransportProblem(grid, c, A, a, u0)
-        cmax = float(np.max(np.abs(c.value.components)))
+        c = velocity(w0, kernel, scenario.kappa, scenario.attract).components
+        A = ex.sample_field(scenario.alpha, grid, 0.0, w=w0).values
+        a = partial(ex.sample_stack, scenario.a, grid)
+        problem = TransportProblem(grid, constant(c), constant(A), a, u0)
+        cmax = float(np.max(np.abs(c)))
         dt = cfl * min(grid.dx) / max(cmax, 1e-12)
         steps = max(1, int(np.ceil(t_final / dt)))
         dt = t_final / steps
@@ -89,7 +90,7 @@ def parabolic_duhamel_study(scenario: Scenario, resolutions, t_final: float | No
         if grid.dim != 1:
             raise ValueError("the Green-function study runs on 1D scenarios")
         w0 = ex.sample_field(scenario.w0, grid, 0.0)
-        b = FuncFieldSeries(lambda t, g=grid: ex.sample_field(scenario.b, g, t))
+        b = partial(ex.sample_stack, scenario.b, grid)
         problem = ParabolicProblem(grid, scenario.mu, None, b, w0)
         dt = min(grid.dx) / 4.0
         steps = max(1, int(np.ceil(t_final / dt)))

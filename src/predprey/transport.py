@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, VectorField, divergence, gradient_components,
-                   interp_field, interp_values, l1_norms, norm_l1, norm_linf,
-                   require_finite, total_variation)
-from .series import (ConstantFieldSeries, ConstantVectorSeries, FieldSeries,
-                     FuncFieldSeries, SampledFieldSeries, SampledVectorSeries,
-                     Trace, VectorSeries, cumulative_left_riemann, step_times)
+from .grid import (Field, Grid, VectorField, divergences, gradient_components,
+                   interp_field, interp_values, l1_norms, linf_norms, norm_l1,
+                   norm_linf, require_finite, total_variation, total_variations)
+from .series import (InequalityCheck, Series, Trace, cumulative_left_riemann, grade,
+                     stack_or_zeros, step_times)
 from .testfunctions import SineTestFunction
 
 
@@ -40,9 +39,9 @@ class CflViolation(ValueError):
 @dataclass(frozen=True)
 class TransportProblem:
     grid: Grid
-    c: VectorSeries
-    A: FieldSeries | None
-    a: FieldSeries | None
+    c: Series             # (n, dim, *grid.shape) stacks
+    A: Series | None      # reaction coefficient, None for 0
+    a: Series | None      # source, None for 0
     u0: Field
 
 
@@ -63,13 +62,8 @@ class CharPath:
     exit_time: float | None
 
 
-def divergence_series(c_series: VectorSeries, grid: Grid) -> FieldSeries:
-    if isinstance(c_series, SampledVectorSeries):
-        div = [divergence(VectorField(grid, v)).values for v in c_series.values]
-        return SampledFieldSeries(grid, c_series.times, np.stack(div))
-    if isinstance(c_series, ConstantVectorSeries):
-        return ConstantFieldSeries(divergence(c_series.value))
-    return FuncFieldSeries(lambda t: divergence(c_series.at(t)))
+def divergence_series(c_series: Series, grid: Grid) -> Series:
+    return lambda times: divergences(c_series(times), grid)
 
 
 def _inside(grid: Grid, pts: np.ndarray) -> np.ndarray:
@@ -89,7 +83,7 @@ def _clip_to_box(grid: Grid, pts: np.ndarray) -> np.ndarray:
 class _BackwardPaths:
     """Batched backward characteristics on a shared uniform time grid."""
 
-    def __init__(self, c_series: VectorSeries, grid: Grid, t_end: float,
+    def __init__(self, c_series: Series, grid: Grid, t_end: float,
                  points: np.ndarray, dt_ode: float):
         self.grid = grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -104,9 +98,9 @@ class _BackwardPaths:
         alive = np.ones(m, dtype=bool)
 
         def vel(t: float, p: np.ndarray) -> np.ndarray:
-            vf = c_series.at(t)
+            comps = c_series(np.array([t]))[0]
             return np.stack(
-                [interp_values(grid, vf.components[k], p) for k in range(grid.dim)],
+                [interp_values(grid, comps[k], p) for k in range(grid.dim)],
                 axis=-1,
             )
 
@@ -194,12 +188,14 @@ def exponential_weight(path: CharPath, problem: TransportProblem, tau: float,
         [np.interp(nodes, path.times, path.points[:, ax]) for ax in range(path.points.shape[1])],
         axis=-1,
     )
-    div_series = divergence_series(problem.c, problem.grid)
+    grid = problem.grid
+    div = divergence_series(problem.c, grid)(nodes)
+    A = None if problem.A is None else problem.A(nodes)
     g = np.empty(len(nodes))
-    for i, s in enumerate(nodes):
-        val = -interp_field(div_series.at(s), pts[i][None, :])[0]
-        if problem.A is not None:
-            val += interp_field(problem.A.at(s), pts[i][None, :])[0]
+    for i in range(len(nodes)):
+        val = -interp_values(grid, div[i], pts[i][None, :])[0]
+        if A is not None:
+            val += interp_values(grid, A[i], pts[i][None, :])[0]
         g[i] = val
     return float(np.exp(integrate.simpson(g, x=nodes)))
 
@@ -224,14 +220,17 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     X = paths.positions                   # (S+1, m, dim)
     m = pts.shape[0]
     div_series = divergence_series(problem.c, grid)
+    div = div_series(s)
+    A = None if problem.A is None else problem.A(s)
+    a = None if problem.a is None else problem.a(s)
     g = np.empty((len(s), m))
-    a_vals = np.zeros((len(s), m)) if problem.a is not None else None
-    for i, si in enumerate(s):
-        g[i] = -interp_field(div_series.at(si), X[i])
-        if problem.A is not None:
-            g[i] += interp_field(problem.A.at(si), X[i])
+    a_vals = np.zeros((len(s), m)) if a is not None else None
+    for i in range(len(s)):
+        g[i] = -interp_values(grid, div[i], X[i])
+        if A is not None:
+            g[i] += interp_values(grid, A[i], X[i])
         if a_vals is not None:
-            a_vals[i] = interp_field(problem.a.at(si), X[i])
+            a_vals[i] = interp_values(grid, a[i], X[i])
     cum_g = integrate.cumulative_simpson(g, x=s, axis=0, initial=0.0)
     weight = np.exp(cum_g[-1] - cum_g)    # E(s_i, t) per node and point
     values = np.zeros(m)
@@ -252,10 +251,11 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
             seg = s[k] - tau_star
             if seg > 1e-15:
                 x_star = X[0, idx][None, :]
-                g_star = -interp_field(div_series.at(tau_star), x_star)[0]
+                at_star = np.array([tau_star])
+                g_star = -interp_values(grid, div_series(at_star)[0], x_star)[0]
                 if problem.A is not None:
-                    g_star += interp_field(problem.A.at(tau_star), x_star)[0]
-                a_star = interp_field(problem.a.at(tau_star), x_star)[0]
+                    g_star += interp_values(grid, problem.A(at_star)[0], x_star)[0]
+                a_star = interp_values(grid, problem.a(at_star)[0], x_star)[0]
                 w_star = weight[k, idx] * math.exp(0.5 * seg * (g_star + g[k, idx]))
                 tail += 0.5 * seg * (a_star * w_star + a_vals[k, idx] * weight[k, idx])
             values[idx] = tail
@@ -362,51 +362,34 @@ def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
     """Upwind march from t_start to t_start + T, trace stored every step.
 
     Each step takes its coefficients at its left end; they are fetched for
-    the whole march in one ``stack`` call per series.
+    the whole march in one call per series.
     """
     times = step_times(T, dt, t_start)
     left = coefficient_times(times)
     states = march_upwind(
-        problem.u0.values, problem.c.stack(left),
-        problem.A.stack(left) if problem.A is not None else None,
-        problem.a.stack(left) if problem.a is not None else None,
+        problem.u0.values, problem.c(left),
+        problem.A(left) if problem.A is not None else None,
+        problem.a(left) if problem.a is not None else None,
         np.diff(times), problem.grid,
     )
     return Trace(problem.grid, times, states)
 
 
-def _grad_div_l1(vf: VectorField) -> float:
-    grad = gradient_components(divergence(vf).values, vf.grid)
-    mag = np.sqrt(sum(g**2 for g in grad))
-    return float(np.sum(mag) * vf.grid.cell_volume)
+def _grad_div_l1(div: np.ndarray, grid: Grid) -> np.ndarray:
+    """L1 norm of |grad div c| per time of a divergence stack."""
+    grad = gradient_components(div, grid)
+    return l1_norms(np.sqrt(sum(g**2 for g in grad)), grid)
 
 
-@dataclass(frozen=True)
-class HyperbolicBoundsReport:
-    times: np.ndarray
-    l1_lhs: np.ndarray
-    l1_rhs: np.ndarray
-    linf_lhs: np.ndarray
-    linf_rhs: np.ndarray
-    tv_lhs: np.ndarray
-    tv_rhs: np.ndarray
-
-    def passed(self, rel_slack: float = 1e-6) -> dict[str, bool]:
-        def ok(lhs, rhs):
-            return bool(np.all(lhs <= rhs * (1 + rel_slack) + 1e-12))
-
-        return {
-            "l1": ok(self.l1_lhs, self.l1_rhs),
-            "linf": ok(self.linf_lhs, self.linf_rhs),
-            "tv": ok(self.tv_lhs, self.tv_rhs),
-        }
-
-    def all_passed(self, rel_slack: float = 1e-6) -> bool:
-        return all(self.passed(rel_slack).values())
+def _sup_jacobian(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Largest |d c_k / d x_j| per time of a velocity stack (n, dim, *grid.shape)."""
+    return np.max([linf_norms(g, grid) for k in range(grid.dim)
+                   for g in gradient_components(c[:, k], grid)], axis=0)
 
 
 def check_hyperbolic_bounds(trace: Trace, problem: TransportProblem,
-                            tv_constant: float | None = None) -> HyperbolicBoundsReport:
+                            tv_constant: float | None = None
+                            ) -> tuple[InequalityCheck, InequalityCheck, InequalityCheck]:
     """Measured L1 / sup / TV norms against the data-side estimates.
 
     All coefficient norms (including div c, D_x c, grad div c) come from
@@ -419,23 +402,15 @@ def check_hyperbolic_bounds(trace: Trace, problem: TransportProblem,
         tv_constant = TV_CONST_HYPERBOLIC
     times = trace.times
     grid = problem.grid
-    A_sup = np.array([norm_linf(problem.A.at(t)) if problem.A is not None else 0.0 for t in times])
-    A_tv = np.array([total_variation(problem.A.at(t)) if problem.A is not None else 0.0 for t in times])
-    a_l1 = np.array([norm_l1(problem.a.at(t)) if problem.a is not None else 0.0 for t in times])
-    a_sup = np.array([norm_linf(problem.a.at(t)) if problem.a is not None else 0.0 for t in times])
-    a_tv = np.array([total_variation(problem.a.at(t)) if problem.a is not None else 0.0 for t in times])
-    div_sup = np.empty(len(times))
-    dxc_sup = np.empty(len(times))
-    graddiv_l1 = np.empty(len(times))
-    for i, t in enumerate(times):
-        vf = problem.c.at(t)
-        div_sup[i] = norm_linf(divergence(vf))
-        worst = 0.0
-        for k in range(grid.dim):
-            for gcomp in gradient_components(vf.components[k], grid):
-                worst = max(worst, float(np.max(np.abs(gcomp))))
-        dxc_sup[i] = worst
-        graddiv_l1[i] = _grad_div_l1(vf)
+    A = stack_or_zeros(problem.A, times, grid)
+    a = stack_or_zeros(problem.a, times, grid)
+    c = problem.c(times)
+    A_sup, A_tv = linf_norms(A, grid), total_variations(A, grid)
+    a_l1, a_sup, a_tv = l1_norms(a, grid), linf_norms(a, grid), total_variations(a, grid)
+    div = divergences(c, grid)
+    div_sup = linf_norms(div, grid)
+    dxc_sup = _sup_jacobian(c, grid)
+    graddiv_l1 = _grad_div_l1(div, grid)
     elapsed = times - times[0]
     int_a_l1 = cumulative_left_riemann(a_l1, times)
     int_a_sup = cumulative_left_riemann(a_sup, times)
@@ -450,47 +425,35 @@ def check_hyperbolic_bounds(trace: Trace, problem: TransportProblem,
     rhs_tv = np.exp(int_A_sup + int_dxc) * (
         u0_tv + tv_constant * u0_sup + int_a_tv + (u0_sup + int_a_sup) * int_Atv_graddiv
     )
-    return HyperbolicBoundsReport(times, trace.l1, rhs_l1, trace.linf, rhs_linf,
-                                  trace.tv, rhs_tv)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    def passed(self, rel_slack: float = 1e-6) -> bool:
-        return bool(np.all(self.lhs <= self.rhs * (1 + rel_slack) + 1e-12))
+    return (grade("u_l1_vs_data", times, trace.l1, rhs_l1),
+            grade("u_linf_vs_data", times, trace.linf, rhs_linf),
+            grade("u_tv_vs_data", times, trace.tv, rhs_tv))
 
 
 def stability_in_A(problem1: TransportProblem, problem2: TransportProblem,
-                   T: float, dt: float) -> ComparisonReport:
+                   T: float, dt: float) -> InequalityCheck:
     """Distance of two solves differing only in the reaction coefficient."""
     tr1 = solve_hyperbolic(problem1, T, dt)
     tr2 = solve_hyperbolic(problem2, T, dt)
     times = tr1.times
     grid = problem1.grid
     lhs = l1_norms(tr1.values - tr2.values, grid)
-    A1 = np.array([norm_linf(problem1.A.at(t)) if problem1.A is not None else 0.0 for t in times])
-    A2 = np.array([norm_linf(problem2.A.at(t)) if problem2.A is not None else 0.0 for t in times])
-    dA = np.array([
-        norm_l1(Field(grid, (problem2.A.at(t).values if problem2.A is not None else 0.0)
-                      - (problem1.A.at(t).values if problem1.A is not None else 0.0)))
-        for t in times
-    ])
-    a_sup = np.array([norm_linf(problem1.a.at(t)) if problem1.a is not None else 0.0 for t in times])
+    A1 = stack_or_zeros(problem1.A, times, grid)
+    A2 = stack_or_zeros(problem2.A, times, grid)
+    dA = l1_norms(A2 - A1, grid)
+    a_sup = linf_norms(stack_or_zeros(problem1.a, times, grid), grid)
     elapsed = times - times[0]
-    worst_rate = np.maximum(np.maximum.accumulate(A1), np.maximum.accumulate(A2))
+    worst_rate = np.maximum(np.maximum.accumulate(linf_norms(A1, grid)),
+                            np.maximum.accumulate(linf_norms(A2, grid)))
     rhs = (np.exp(elapsed * worst_rate)
            * (norm_linf(problem1.u0) + cumulative_left_riemann(a_sup, times))
            * cumulative_left_riemann(dA, times))
-    return ComparisonReport(times, lhs, rhs)
+    return grade("u_stability_in_A", times, lhs, rhs)
 
 
 def stability_in_c(problem1: TransportProblem, problem2: TransportProblem,
                    T: float, dt: float,
-                   tv_constant: float | None = None) -> ComparisonReport:
+                   tv_constant: float | None = None) -> InequalityCheck:
     """Distance of two solves differing only in the velocity field.
 
     RHS is the two-term expression: data-norm times the integrated sup of
@@ -506,27 +469,16 @@ def stability_in_c(problem1: TransportProblem, problem2: TransportProblem,
     times = tr1.times
     grid = problem1.grid
     lhs = l1_norms(tr1.values - tr2.values, grid)
-    A_sup = np.array([norm_linf(problem1.A.at(t)) if problem1.A is not None else 0.0 for t in times])
-    A_tv = np.array([total_variation(problem1.A.at(t)) if problem1.A is not None else 0.0 for t in times])
-    a_l1 = np.array([norm_l1(problem1.a.at(t)) if problem1.a is not None else 0.0 for t in times])
-    a_sup = np.array([norm_linf(problem1.a.at(t)) if problem1.a is not None else 0.0 for t in times])
-    a_tv = np.array([total_variation(problem1.a.at(t)) if problem1.a is not None else 0.0 for t in times])
-    dc_sup = np.empty(len(times))
-    ddiv_sup = np.empty(len(times))
-    dxc1_sup = np.empty(len(times))
-    graddiv1_l1 = np.empty(len(times))
-    for i, t in enumerate(times):
-        v1 = problem1.c.at(t)
-        v2 = problem2.c.at(t)
-        diff = VectorField(grid, v2.components - v1.components)
-        dc_sup[i] = float(np.max(np.sqrt(np.sum(diff.components**2, axis=0))))
-        ddiv_sup[i] = norm_linf(divergence(diff))
-        worst = 0.0
-        for k in range(grid.dim):
-            for gcomp in gradient_components(v1.components[k], grid):
-                worst = max(worst, float(np.max(np.abs(gcomp))))
-        dxc1_sup[i] = worst
-        graddiv1_l1[i] = _grad_div_l1(v1)
+    A = stack_or_zeros(problem1.A, times, grid)
+    a = stack_or_zeros(problem1.a, times, grid)
+    A_sup, A_tv = linf_norms(A, grid), total_variations(A, grid)
+    a_l1, a_sup, a_tv = l1_norms(a, grid), linf_norms(a, grid), total_variations(a, grid)
+    c1 = problem1.c(times)
+    dc = problem2.c(times) - c1
+    dc_sup = linf_norms(np.sqrt(np.sum(dc**2, axis=1)), grid)
+    ddiv_sup = linf_norms(divergences(dc, grid), grid)
+    dxc1_sup = _sup_jacobian(c1, grid)
+    graddiv1_l1 = _grad_div_l1(divergences(c1, grid), grid)
     elapsed = times - times[0]
     u0_l1, u0_sup, u0_tv = norm_l1(problem1.u0), norm_linf(problem1.u0), total_variation(problem1.u0)
     int_a_l1 = cumulative_left_riemann(a_l1, times)
@@ -539,7 +491,7 @@ def stability_in_c(problem1: TransportProblem, problem2: TransportProblem,
              * np.exp(cumulative_left_riemann(A_sup, times)
                       + cumulative_left_riemann(dxc1_sup, times))
              * bracket)
-    return ComparisonReport(times, lhs, term1 + term2)
+    return grade("u_stability_in_c", times, lhs, term1 + term2)
 
 
 @dataclass(frozen=True)
@@ -568,6 +520,9 @@ def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
     grid = problem.grid
     vol = grid.cell_volume
     times = trace.times
+    c = problem.c(times)
+    A = None if problem.A is None else problem.A(times)
+    a = None if problem.a is None else problem.a(times)
     residuals = []
     for tf in test_functions:
         s_vals = tf.space_values(grid)
@@ -577,16 +532,15 @@ def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
             u = trace.values[i]
             qt = float(tf.time_value(t))
             qdot = float(tf.time_derivative(t))
-            c_t = problem.c.at(t)
             advect = np.zeros(grid.shape)
             for ax in range(grid.dim):
-                advect += c_t.components[ax] * s_grad[ax]
+                advect += c[i, ax] * s_grad[ax]
             term = qdot * np.sum(u * s_vals) + qt * np.sum(u * advect)
             react = np.zeros(grid.shape)
-            if problem.A is not None:
-                react = react + problem.A.at(t).values * u
-            if problem.a is not None:
-                react = react + problem.a.at(t).values
+            if A is not None:
+                react = react + A[i] * u
+            if a is not None:
+                react = react + a[i]
             term += qt * np.sum(react * s_vals)
             integrand[i] = term * vol
         space_time = integrate.simpson(integrand, x=times)

@@ -3,6 +3,7 @@
 import logging
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from predprey.coupling import (PREDICTOR_DEGREE, NoContraction, Scenario,
 from predprey.grid import DomainSpec, Field, norm_l1
 from predprey.parabolic import ParabolicProblem, solve_parabolic
 from predprey.scenario_io import load_scenario
-from predprey.series import FuncFieldSeries, SampledFieldSeries, SampledVectorSeries
+from predprey.series import sampled
 from predprey.transport import TransportProblem, solve_hyperbolic
 from predprey.velocity import make_kernel
 
@@ -78,11 +79,11 @@ class TestFreeze:
         times = np.array([0.0, 0.01, 0.02])
         z = np.zeros((3,) + grid.shape)
         c, A, B = freeze_coefficients(times, z, z, s, kernel)
-        c_ser = SampledVectorSeries(grid, times, c)
-        A_ser, B_ser = SampledFieldSeries(grid, times, A), SampledFieldSeries(grid, times, B)
-        assert np.all(c_ser.at(0.005).components == 0.0)
-        assert np.allclose(A_ser.at(0.0).values, 1.0)   # alpha(0) = 1 - 0
-        assert np.all(B_ser.at(0.0).values == 0.0)
+        c_ser = sampled(times, c)
+        A_ser, B_ser = sampled(times, A), sampled(times, B)
+        assert np.all(c_ser(np.array([0.005]))[0] == 0.0)
+        assert np.allclose(A_ser(np.array([0.0]))[0], 1.0)   # alpha(0) = 1 - 0
+        assert np.all(B_ser(np.array([0.0]))[0] == 0.0)
 
     def test_reaction_freezing_matches_expressions(self):
         s = make_scenario(beta=ex.parse("-u", ex.Slot.BETA))
@@ -92,9 +93,9 @@ class TestFreeze:
         u = np.full((2,) + grid.shape, 0.25)
         w = np.full((2,) + grid.shape, 0.5)
         _, A, B = freeze_coefficients(times, u, w, s, kernel)
-        A_ser, B_ser = SampledFieldSeries(grid, times, A), SampledFieldSeries(grid, times, B)
-        assert np.allclose(A_ser.at(0.0).values, 0.5)
-        assert np.allclose(B_ser.at(0.0).values, -0.25)
+        A_ser, B_ser = sampled(times, A), sampled(times, B)
+        assert np.allclose(A_ser(np.array([0.0]))[0], 0.5)
+        assert np.allclose(B_ser(np.array([0.0]))[0], -0.25)
 
 
 class TestPicardWindow:
@@ -167,14 +168,14 @@ class TestSolveCoupled:
         kernel = make_kernel(s.ell, grid)
         trace = solve_coupled(s)
         u0, w0 = s.initial_fields(grid)
-        b_series = FuncFieldSeries(lambda t: ex.sample_field(s.b, grid, t))
-        B_series = FuncFieldSeries(lambda t: ex.sample_field(s.beta, grid, t))
+        b_series = partial(ex.sample_stack, s.b, grid)
+        B_series = partial(ex.sample_stack, s.beta, grid)
         w_ref = solve_parabolic(ParabolicProblem(grid, s.mu, B_series, b_series, w0),
                                 s.horizon, s.scheme())
         c, A, _ = freeze_coefficients(w_ref.times, w_ref.values, w_ref.values, s, kernel)
-        c_ser = SampledVectorSeries(grid, w_ref.times, c)
-        A_ser = SampledFieldSeries(grid, w_ref.times, A)
-        a_series = FuncFieldSeries(lambda t: ex.sample_field(s.a, grid, t))
+        c_ser = sampled(w_ref.times, c)
+        A_ser = sampled(w_ref.times, A)
+        a_series = partial(ex.sample_stack, s.a, grid)
         u_ref = solve_hyperbolic(TransportProblem(grid, c_ser, A_ser, a_series, u0),
                                  s.horizon, s.dt)
         for i, t in enumerate(trace.times):

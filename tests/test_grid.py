@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predprey.grid import (DomainSpec, Field, GridError, build_grid, divergence,
+                           divergences, gradient_components, interior_variations,
                            interp_field, norm_l1, norm_linf, total_variation,
                            VectorField, full, zeros)
 
@@ -136,6 +137,30 @@ def test_divergence_of_linear_field():
     g = grid1d(32)
     vf = VectorField(g, g.axis_centers[0][None, :].copy())  # c(x) = x
     assert np.allclose(divergence(vf).values, 1.0)
+
+
+@pytest.mark.parametrize("n_cells", [(17,), (9, 13)], ids=["1d", "2d"])
+def test_stacked_variation_and_divergence_match_one_field_loops(n_cells):
+    # the per-field loops the stacked reductions replaced, bit for bit
+    bounds = ((0.0, 1.0), (0.0, 2.0))[:len(n_cells)]
+    g = build_grid(DomainSpec(bounds), n_cells)
+    rng = np.random.default_rng(5)
+    fields = rng.normal(size=(4,) + g.shape)
+    velocities = rng.normal(size=(4, g.dim) + g.shape)
+    for i, v in enumerate(fields):
+        if g.dim == 1:
+            expected = np.sum(np.abs(np.diff(v)))
+        else:
+            dx, dy = g.dx
+            expected = (np.sum(np.abs(np.diff(v, axis=0))) * dy
+                        + np.sum(np.abs(np.diff(v, axis=1))) * dx)
+        assert interior_variations(fields, g)[i] == expected
+    for i, c in enumerate(velocities):
+        total = np.zeros(g.shape)
+        for k in range(g.dim):
+            total += gradient_components(c[k], g)[k]
+        assert np.array_equal(divergences(velocities, g)[i], total)
+        assert np.array_equal(divergence(VectorField(g, c)).values, total)
 
 
 def test_total_variation_2d_half_plane_step():

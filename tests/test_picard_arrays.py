@@ -15,7 +15,7 @@ from predprey.coupling import Scenario, extrapolate_window, picard_window
 from predprey.grid import DomainSpec, Field, GridError, VectorField, build_grid, norm_l1, zeros
 from predprey.parabolic import (ParabolicProblem, Scheme, StiffReaction, solve_parabolic,
                                 step_parabolic)
-from predprey.series import ConstantFieldSeries, ConstantVectorSeries, step_times
+from predprey.series import constant, step_times
 from predprey.transport import CflViolation, TransportProblem, fv_upwind_step, solve_hyperbolic
 from predprey.velocity import make_kernel, velocity
 
@@ -173,14 +173,14 @@ def test_predicted_start_matches_field_loop_bit_for_bit(extra):
 
 def test_array_march_raises_cfl_violation():
     g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
-    fast = ConstantVectorSeries(VectorField(g, np.full((1, 32), 100.0)))
+    fast = constant(np.full((1, 32), 100.0))
     with pytest.raises(CflViolation):
         solve_hyperbolic(TransportProblem(g, fast, None, None, zeros(g)), 0.05, 0.01)
 
 
 def test_array_march_raises_stiff_reaction():
     g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
-    stiff = ConstantFieldSeries(Field(g, np.full(32, 200.0)))
+    stiff = constant(np.full(32, 200.0))
     problem = ParabolicProblem(g, 0.1, stiff, None, zeros(g))
     with pytest.raises(StiffReaction):
         solve_parabolic(problem, 0.05, Scheme("implicit_euler", 0.01))
@@ -189,8 +189,8 @@ def test_array_march_raises_stiff_reaction():
 def test_array_march_rejects_nonfinite_output():
     g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
     huge = Field(g, np.full(32, 1e300))
-    still = ConstantVectorSeries(VectorField(g, np.zeros((1, 32))))
-    growth = ConstantFieldSeries(Field(g, np.full(32, 1e10)))
+    still = constant(np.zeros((1, 32)))
+    growth = constant(np.full(32, 1e10))
     with pytest.raises(GridError, match="non-finite"):
         solve_hyperbolic(TransportProblem(g, still, growth, None, huge), 0.05, 0.01)
 

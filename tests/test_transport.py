@@ -7,7 +7,7 @@ import pytest
 
 from predprey.grid import (DomainSpec, Field, VectorField, build_grid, full,
                            norm_l1, zeros)
-from predprey.series import ConstantFieldSeries, ConstantVectorSeries, Trace
+from predprey.series import Trace, constant
 from predprey.testfunctions import default_family
 from predprey.transport import (CflViolation, TransportProblem,
                                 characteristics_solution_field,
@@ -24,7 +24,7 @@ def grid1d(n=128):
 
 
 def const_velocity(grid, value):
-    return ConstantVectorSeries(VectorField(grid, np.full((1,) + grid.shape, value)))
+    return constant(np.full((1,) + grid.shape, value))
 
 
 def zero_velocity(grid):
@@ -70,7 +70,7 @@ class TestExponentialWeight:
     def test_constant_reaction(self):
         g = grid1d()
         lam = 0.7
-        prob = TransportProblem(g, zero_velocity(g), ConstantFieldSeries(full(g, lam)),
+        prob = TransportProblem(g, zero_velocity(g), constant(full(g, lam).values),
                                 None, zeros(g))
         path = trace_characteristic(prob, 0.5, [0.5], dt_ode=0.01)
         val = exponential_weight(path, prob, 0.1, 0.5)
@@ -79,7 +79,7 @@ class TestExponentialWeight:
     def test_linear_velocity_divergence(self):
         # c(x) = x has unit divergence: the weight is exp(-(t - tau))
         g = grid1d()
-        c = ConstantVectorSeries(VectorField(g, g.axis_centers[0][None, :].copy()))
+        c = constant(g.axis_centers[0][None, :])
         prob = TransportProblem(g, c, None, None, zeros(g))
         path = trace_characteristic(prob, 0.5, [0.6], dt_ode=0.002)
         assert exponential_weight(path, prob, 0.0, 0.5) == pytest.approx(
@@ -98,7 +98,7 @@ class TestOracleSolution:
     def test_pure_accumulation(self):
         g = grid1d()
         prob = TransportProblem(g, zero_velocity(g), None,
-                                ConstantFieldSeries(full(g, 1.0)), zeros(g))
+                                constant(full(g, 1.0).values), zeros(g))
         out = characteristics_solution_field(prob, 0.3, dt_ode=0.01)
         assert np.max(np.abs(out.values - 0.3)) < 1e-10
 
@@ -117,7 +117,7 @@ class TestOracleSolution:
     def test_single_point_evaluation(self):
         g = grid1d()
         prob = TransportProblem(g, zero_velocity(g), None,
-                                ConstantFieldSeries(full(g, 2.0)), zeros(g))
+                                constant(full(g, 2.0).values), zeros(g))
         assert eval_characteristics_solution(prob, 0.25, [0.5], dt_ode=0.01) == pytest.approx(
             0.5, abs=1e-10)
 
@@ -127,7 +127,7 @@ class TestOracleSolution:
         x = g.axis_centers[0]
         w = Field(g, bump(x, 0.7))
         kern = make_kernel(0.25, g)
-        c = ConstantVectorSeries(velocity(w, kern, kappa=0.8))
+        c = constant(velocity(w, kern, kappa=0.8).components)
         prob = TransportProblem(g, c, None, None, Field(g, bump(x)))
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.01, 0.99, size=(10_000, 1))
@@ -149,7 +149,7 @@ class TestOracleSolution:
         u0 = Field(g, bump(x, 0.25, 80.0))
         K = 0.8
         prob = TransportProblem(g, const_velocity(g, 0.5),
-                                ConstantFieldSeries(full(g, K)), None, u0)
+                                constant(full(g, K).values), None, u0)
         t = 0.4
         out = characteristics_solution_field(prob, t, dt_ode=0.005)
         feet = x - 0.5 * t
@@ -201,7 +201,7 @@ class TestUpwind:
         g = grid1d(16)
         K, T = 1.0, 0.05
         u0 = full(g, 1.0)
-        prob = TransportProblem(g, zero_velocity(g), ConstantFieldSeries(full(g, K)),
+        prob = TransportProblem(g, zero_velocity(g), constant(full(g, K).values),
                                 None, u0)
         trace = solve_hyperbolic(prob, T, 2e-5)
         assert np.max(np.abs(trace.final().values - math.exp(K * T))) < 1e-6
@@ -211,8 +211,7 @@ class TestUpwind:
         xs, ys = g.centers()
         u0 = Field(g, np.exp(-60 * ((xs - 0.35) ** 2 + (ys - 0.35) ** 2)))
         comps = np.stack([np.full(g.shape, 0.5), np.full(g.shape, 0.5)])
-        prob = TransportProblem(g, ConstantVectorSeries(VectorField(g, comps)),
-                                None, None, u0)
+        prob = TransportProblem(g, constant(comps), None, None, u0)
         T = 0.3
         trace = solve_hyperbolic(prob, T, 0.6 * g.dx[0])
         oracle = characteristics_solution_field(prob, T, dt_ode=5e-3)
@@ -226,19 +225,19 @@ class TestBoundsChecks:
         g = grid1d(32)
         prob = TransportProblem(g, zero_velocity(g), None, None, zeros(g))
         trace = solve_hyperbolic(prob, 0.1, 5e-3)
-        assert check_hyperbolic_bounds(trace, prob).all_passed()
+        assert all(check.passed for check in check_hyperbolic_bounds(trace, prob))
 
     def test_reaction_equality_case(self):
         # c = 0, a = 0: the L1 estimate degenerates to the scalar exponential
         # and the discrete solution saturates it as dt -> 0
         g = grid1d(16)
         K, T = 1.0, 0.1
-        prob = TransportProblem(g, zero_velocity(g), ConstantFieldSeries(full(g, K)),
+        prob = TransportProblem(g, zero_velocity(g), constant(full(g, K).values),
                                 None, full(g, 1.0))
         trace = solve_hyperbolic(prob, T, 1e-5)
         rep = check_hyperbolic_bounds(trace, prob)
-        assert rep.all_passed()
-        gap = (rep.l1_rhs[-1] - rep.l1_lhs[-1]) / rep.l1_rhs[-1]
+        assert all(check.passed for check in rep)
+        gap = (rep[0].rhs[-1] - rep[0].lhs[-1]) / rep[0].rhs[-1]
         assert 0.0 <= gap <= 1e-6
 
     def test_random_suite(self):
@@ -249,15 +248,15 @@ class TestBoundsChecks:
             w = Field(g, rng.uniform(0.1, 1.0) * np.exp(
                 -rng.uniform(20, 60) * (x - rng.uniform(0.3, 0.7)) ** 2))
             kern = make_kernel(0.25, g)
-            c = ConstantVectorSeries(velocity(w, kern, rng.uniform(0.1, 0.8)))
-            A = ConstantFieldSeries(Field(g, rng.uniform(-1, 1, 64)))
-            a = ConstantFieldSeries(Field(g, rng.uniform(0, 0.5, 64)))
+            c = velocity(w, kern, rng.uniform(0.1, 0.8)).components
+            A = constant(rng.uniform(-1, 1, 64))
+            a = constant(rng.uniform(0, 0.5, 64))
             u0 = Field(g, rng.uniform(0, 1) * np.exp(-40 * (x - 0.4) ** 2))
-            prob = TransportProblem(g, c, A, a, u0)
-            cmax = float(np.max(np.abs(c.value.components)))
+            prob = TransportProblem(g, constant(c), A, a, u0)
+            cmax = float(np.max(np.abs(c)))
             dt = min(0.45 * g.dx[0] / max(cmax, 1e-9), 0.2 / 10)
             trace = solve_hyperbolic(prob, 0.2, dt)
-            assert check_hyperbolic_bounds(trace, prob).all_passed()
+            assert all(check.passed for check in check_hyperbolic_bounds(trace, prob))
             assert min(np.min(v) for v in trace.values) >= -1e-12
 
 
@@ -266,12 +265,12 @@ class TestStabilityExperiments:
         g = grid1d(n)
         x = g.axis_centers[0]
         u0 = Field(g, bump(x, 0.4, 60.0))
-        a = ConstantFieldSeries(full(g, 0.2))
+        a = constant(full(g, 0.2).values)
         return g, u0, a
 
     def test_same_reaction_zero_distance(self):
         g, u0, a = self._base()
-        A = ConstantFieldSeries(full(g, 0.5))
+        A = constant(full(g, 0.5).values)
         p = TransportProblem(g, zero_velocity(g), A, a, u0)
         rep = stability_in_A(p, p, 0.1, 2e-3)
         assert np.all(rep.lhs == 0.0)
@@ -279,25 +278,25 @@ class TestStabilityExperiments:
     def test_constant_shift_in_reaction(self):
         g, u0, a0 = self._base()
         delta, A1 = 0.3, 0.4
-        p1 = TransportProblem(g, zero_velocity(g), ConstantFieldSeries(full(g, A1)),
+        p1 = TransportProblem(g, zero_velocity(g), constant(full(g, A1).values),
                               None, u0)
-        p2 = TransportProblem(g, zero_velocity(g), ConstantFieldSeries(full(g, A1 + delta)),
+        p2 = TransportProblem(g, zero_velocity(g), constant(full(g, A1 + delta).values),
                               None, u0)
         T = 0.1
         rep = stability_in_A(p1, p2, T, 1e-4)
         exact = (math.exp(delta * T) - 1) * math.exp(A1 * T) * norm_l1(u0)
         assert rep.lhs[-1] == pytest.approx(exact, rel=1e-3)
-        assert rep.passed()
+        assert rep.passed
 
     def test_random_reaction_pairs(self):
         rng = np.random.default_rng(21)
         g, u0, a = self._base()
         for _ in range(5):
-            A1 = ConstantFieldSeries(Field(g, rng.uniform(-1, 1, 64)))
-            A2 = ConstantFieldSeries(Field(g, rng.uniform(-1, 1, 64)))
+            A1 = constant(rng.uniform(-1, 1, 64))
+            A2 = constant(rng.uniform(-1, 1, 64))
             p1 = TransportProblem(g, zero_velocity(g), A1, a, u0)
             p2 = TransportProblem(g, zero_velocity(g), A2, a, u0)
-            assert stability_in_A(p1, p2, 0.15, 2e-3).passed()
+            assert stability_in_A(p1, p2, 0.15, 2e-3).passed
 
     def test_same_velocity_zero_distance(self):
         g, u0, a = self._base()
@@ -313,7 +312,7 @@ class TestStabilityExperiments:
             p1 = TransportProblem(g, const_velocity(g, 0.3), None, None, u0)
             p2 = TransportProblem(g, const_velocity(g, 0.3 + eps), None, None, u0)
             rep = stability_in_c(p1, p2, 0.2, 2e-3)
-            assert rep.passed()
+            assert rep.passed
             lhs_at.append(rep.lhs[-1] / eps)
         # first-order sensitivity: the normalized response is stable under halving
         assert 0.5 < lhs_at[1] / lhs_at[0] < 2.0
@@ -323,11 +322,9 @@ class TestStabilityExperiments:
         x = g.axis_centers[0]
         base = 0.3 + 0.1 * np.sin(2 * np.pi * x)
         pert = base + 0.05 * np.cos(np.pi * x)
-        p1 = TransportProblem(g, ConstantVectorSeries(VectorField(g, base[None, :])),
-                              None, a, u0)
-        p2 = TransportProblem(g, ConstantVectorSeries(VectorField(g, pert[None, :])),
-                              None, a, u0)
-        assert stability_in_c(p1, p2, 0.15, 1e-3).passed()
+        p1 = TransportProblem(g, constant(base[None, :]), None, a, u0)
+        p2 = TransportProblem(g, constant(pert[None, :]), None, a, u0)
+        assert stability_in_c(p1, p2, 0.15, 1e-3).passed
 
 
 class TestTimeLipschitz:
@@ -392,8 +389,8 @@ class TestWeakResidual:
             x = g.axis_centers[0]
             u0 = Field(g, bump(x, 0.35, 60.0))
             prob = TransportProblem(g, const_velocity(g, 0.8),
-                                    ConstantFieldSeries(full(g, 0.3)),
-                                    ConstantFieldSeries(full(g, 0.1)), u0)
+                                    constant(full(g, 0.3).values),
+                                    constant(full(g, 0.1).values), u0)
             trace = solve_hyperbolic(prob, T, 0.45 * g.dx[0] / 0.8)
             res = weak_residual_hyperbolic(trace, prob, default_family(T, 1))
             residuals.append(np.max(np.abs(res)))
@@ -414,10 +411,10 @@ def test_oracle_positivity_with_nonneg_data():
     x = g.axis_centers[0]
     w = Field(g, 0.5 * np.exp(-50 * (x - 0.7) ** 2))
     kern = make_kernel(0.25, g)
-    c = ConstantVectorSeries(velocity(w, kern, kappa=0.8))
+    c = constant(velocity(w, kern, kappa=0.8).components)
     u0 = Field(g, 0.5 * np.exp(-50 * (x - 0.3) ** 2))
-    a = ConstantFieldSeries(Field(g, 0.2 + 0.1 * np.sin(2 * np.pi * x) ** 2))
-    A = ConstantFieldSeries(Field(g, -0.4 * np.cos(np.pi * x)))
+    a = constant(0.2 + 0.1 * np.sin(2 * np.pi * x) ** 2)
+    A = constant(-0.4 * np.cos(np.pi * x))
     prob = TransportProblem(g, c, A, a, u0)
     out = characteristics_solution_field(prob, 0.5, dt_ode=0.005)
     assert np.min(out.values) >= 0.0
