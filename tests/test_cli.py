@@ -154,7 +154,7 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
     # `predprey run` writes for the shipped scenarios; refactors must keep
     # those bytes, and only a change of arithmetic made on purpose (last: the
-    # quartic Picard start) regenerates the manifest
+    # window sizes grown from each window's iterations) regenerates the manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")

@@ -10,7 +10,8 @@ import pytest
 
 from predprey import expressions as ex
 from predprey.coupling import (PREDICTOR_DEGREE, NoContraction, Scenario,
-                               WindowCollapse, WindowPlan, compute_bounds_report,
+                               WindowCollapse, WindowPlan, _window_start,
+                               compute_bounds_report,
                                extrapolate_window, freeze_coefficients,
                                initial_window, lipschitz_in_data_experiment,
                                picard_window, positivity_audit, solve_coupled,
@@ -58,7 +59,70 @@ MILD_SCENARIO = dict(
 
 def fixed_window(size):
     """Stand-in for ``initial_window`` that plans a first window of ``size``."""
-    return lambda scenario, grid, kernel: WindowPlan(size, size, 0.0, False)
+    def plan(scenario, grid, kernel):
+        n_steps = round(scenario.horizon / scenario.dt)
+        return WindowPlan(size, size, 0.0, False, np.zeros(n_steps + 1))
+    return plan
+
+
+def fixed_window_solve(s: Scenario, steps: int):
+    """The solve with every window ``steps`` long, chained as solve_coupled
+    chains them; returns the u and w stacks."""
+    grid = s.grid()
+    kernel = make_kernel(s.ell, grid)
+    u_cur, w_cur = s.initial_fields(grid)
+    total = round(s.horizon / s.dt)
+    u_all = np.empty((total + 1,) + grid.shape)
+    w_all = np.empty_like(u_all)
+    u_all[0], w_all[0] = u_cur.values, w_cur.values
+    for step in range(0, total, steps):
+        take = min(steps, total - step)
+        u_tr, w_tr, _ = picard_window(s, grid, kernel, step * s.dt, (step + take) * s.dt,
+                                      u_cur, w_cur, s.picard_tol, s.picard_max_iter,
+                                      start=_window_start("extrapolated", u_all, w_all,
+                                                          step, take))
+        u_all[step + 1:step + take + 1] = u_tr.values[1:]
+        w_all[step + 1:step + take + 1] = w_tr.values[1:]
+        u_cur, w_cur = u_tr.final(), w_tr.final()
+    return u_all, w_all
+
+
+class Calls(list):
+    """The starts picard_window was called with; ``failed`` is the index of
+    the call that was made to fail."""
+
+    failed = None
+
+
+def fail_once_at(monkeypatch, steps: int, first: int = 0) -> Calls:
+    """Make the first window of ``steps`` steps from call ``first`` on raise
+    NoContraction once; returns the recorded calls."""
+    import predprey.coupling as cp
+
+    calls = Calls()
+
+    def window(*args, start=None):
+        calls.append(start)
+        if (calls.failed is None and len(calls) > first
+                and start[0].shape[0] == steps + 1):
+            calls.failed = len(calls) - 1
+            raise NoContraction("forced")
+        return picard_window(*args, start=start)
+
+    monkeypatch.setattr(cp, "picard_window", window)
+    return calls
+
+
+def summary_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+
+
+def summary_line(trace, halvings: int) -> str:
+    steps = [wl.steps for wl in trace.window_logs]
+    iterations = [wl.iterations for wl in trace.window_logs]
+    return (f"solve: {len(steps)} windows of {min(steps)} to {max(steps)} steps, "
+            f"{sum(iterations)} Picard iterations, {halvings} halvings, at most "
+            f"{max(iterations)} iterations per window")
 
 
 ZERO_SCENARIO = dict(
@@ -210,23 +274,43 @@ class TestSolveCoupled:
             solve_coupled(make_scenario(), initial_iterate="previous")
 
     def test_shipped_scenario_iterations(self):
-        # the datum start needs 4 iterations in each of the 25 windows; the
-        # quartic prediction takes 57 in all (the quadratic one took 76)
+        # the quartic prediction settles fast enough for the windows to grow:
+        # 16 windows and 46 iterations, where 25 floored four-step windows
+        # took 57; the datum start needs 4 iterations in every window, so its
+        # windows stay at the floor: 25 windows, 100 iterations
         s = load_scenario(SHIPPED)
         trace = solve_coupled(s)
-        assert len(trace.window_logs) == 25
+        assert len(trace.window_logs) == 16
         assert all(wl.converged for wl in trace.window_logs)
-        assert sum(wl.iterations for wl in trace.window_logs) <= 57
-        assert sum(wl.iterations for wl in solve_coupled(s, "datum").window_logs) == 100
+        assert sum(wl.iterations for wl in trace.window_logs) <= 46
+        datum = solve_coupled(s, "datum").window_logs
+        assert len(datum) == 25
+        assert sum(wl.iterations for wl in datum) == 100
 
     def test_shipped_scenario_long_horizon_iterations(self):
-        # 200 four-step windows to T = 4: 343 iterations from the quartic
-        # prediction, against 543 from the quadratic and 800 from the datum
+        # to T = 4: 57 windows of 4 to 32 steps and 170 iterations, where
+        # 200 floored four-step windows took 343
         s = replace(load_scenario(SHIPPED), horizon=4.0)
         trace = solve_coupled(s)
-        assert len(trace.window_logs) == 200
+        assert len(trace.window_logs) == 57
         assert all(wl.converged for wl in trace.window_logs)
-        assert sum(wl.iterations for wl in trace.window_logs) <= 350
+        assert sum(wl.iterations for wl in trace.window_logs) <= 170
+        steps = [wl.steps for wl in trace.window_logs]
+        assert (min(steps), max(steps)) == (4, 32)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(horizon=4.0),
+        dict(horizon=2.0, parabolic_scheme="crank_nicolson"),
+    ], ids=["shipped-T4", "crank-nicolson-T2"])
+    def test_matches_fixed_four_step_windows(self, overrides):
+        # the old schedule as oracle: floored four-step windows chained from
+        # the same predicted starts; both are fixed points to picard_tol
+        s = replace(load_scenario(SHIPPED), **overrides)
+        u_ref, w_ref = fixed_window_solve(s, 4)
+        trace = solve_coupled(s)
+        assert len(trace.window_logs) < round(s.horizon / s.dt) // 4
+        assert np.max(np.abs(trace.u.values - u_ref)) <= 1e3 * s.picard_tol
+        assert np.max(np.abs(trace.w.values - w_ref)) <= 1e3 * s.picard_tol
 
     def test_run_summary_line(self, caplog, monkeypatch):
         import predprey.coupling as cp
@@ -236,35 +320,42 @@ class TestSolveCoupled:
         monkeypatch.setattr(cp, "initial_window", fixed_window(0.2))
         with caplog.at_level(logging.INFO, logger="predprey.coupling"):
             trace = solve_coupled(s)
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
-        iterations = [wl.iterations for wl in trace.window_logs]
-        assert lines == [f"solve: {len(iterations)} windows, {sum(iterations)} Picard "
-                         f"iterations, 2 halvings, at most {max(iterations)} iterations "
-                         f"per window"]
+        assert summary_lines(caplog) == [summary_line(trace, 2)]
 
     def test_halved_window_starts_from_prefix_of_prediction(self, monkeypatch):
         import predprey.coupling as cp
 
-        s = make_scenario(horizon=0.1)
-        calls = []
-
-        def second_window_fails_once(*args, start=None):
-            calls.append(start)
-            if len(calls) == 2:
-                raise NoContraction("forced")
-            return picard_window(*args, start=start)
-
+        # the 8-step first window takes 4 iterations, so the next one is
+        # halved; the forced failure waits for the next window of 8 steps
+        s = make_scenario(horizon=0.2)
+        calls = fail_once_at(monkeypatch, 8, first=1)
         monkeypatch.setattr(cp, "initial_window", fixed_window(0.04))
-        monkeypatch.setattr(cp, "picard_window", second_window_fails_once)
         trace = cp.solve_coupled(s)
-        assert [round((wl.t1 - wl.t0) / s.dt) for wl in trace.window_logs][:2] == [8, 4]
+        failed = calls.failed
+        steps = [wl.steps for wl in trace.window_logs]
+        assert steps[0] == 8 and steps[failed] == 4
         # the first window's one-row history predicts the datum held constant
         for first, datum in zip(calls[0], s.initial_fields(s.grid())):
             assert first.shape[0] == 9
             assert all(row.tobytes() == datum.values.tobytes() for row in first)
-        for full, halved in zip(calls[1], calls[2]):
+        for full, halved in zip(calls[failed], calls[failed + 1]):
             assert full.shape[0] == 9 and halved.shape[0] == 5
             assert np.array_equal(halved, full[:5])
+
+    def test_failed_size_caps_later_windows(self, caplog, monkeypatch):
+        import predprey.coupling as cp
+
+        # weak coupling: windows settle in one or two iterations and would
+        # double, but the 8-step size failed once, so none exceeds 4 steps
+        s = make_scenario(**MILD_SCENARIO)
+        fail_once_at(monkeypatch, 8)
+        monkeypatch.setattr(cp, "initial_window", fixed_window(0.04))
+        with caplog.at_level(logging.INFO, logger="predprey.coupling"):
+            trace = cp.solve_coupled(s)
+        steps = [wl.steps for wl in trace.window_logs]
+        assert max(steps) == 4 and sum(steps) == round(s.horizon / s.dt)
+        assert min(wl.iterations for wl in trace.window_logs) <= cp.GROW_AT_MOST
+        assert summary_lines(caplog) == [summary_line(trace, 1)]
 
 
 class TestPredictor:
@@ -341,16 +432,28 @@ class TestInitialWindow:
     ], ids=["shipped", "mild"])
     def test_ledger_records_the_window_floor(self, scenario, floored):
         s = scenario()
-        window = compute_bounds_report(solve_coupled(s), s).to_dict()["window"]
+        trace = solve_coupled(s)
+        window = compute_bounds_report(trace, s).to_dict()["window"]
         assert window["floored"] is floored
         assert window["condition_held"] is (not floored)
         assert (window["c_uw_times_window"] >= 0.5) is floored
+        largest = max(wl.steps for wl in trace.window_logs)
+        assert window["largest_s"] == pytest.approx(largest * s.dt)
+        assert window["c_uw_times_largest"] == trace.window_plan.c_uw_times_steps[largest]
+        assert window["c_uw_times_largest"] >= window["c_uw_times_window"]
         if floored:
-            # the a-priori window is shorter than the 4 dt floor
+            # the a-priori window is shorter than the 4 dt floor, and the
+            # grown windows reach 8 steps, where c_uw * window is 1.52
             assert window["a_priori_s"] < 4 * s.dt
             assert window["c_uw_times_window"] == pytest.approx(0.708, abs=5e-4)
+            assert largest == 8
+            assert window["c_uw_times_largest"] == pytest.approx(1.516, abs=5e-4)
+            assert window["condition_held_all"] is False
         else:
+            # the whole horizon is one window inside the a-priori condition
             assert window["a_priori_s"] > 4 * s.dt
+            assert window["largest_s"] == pytest.approx(window["a_priori_s"])
+            assert window["condition_held_all"] is True
 
 
 class TestBoundsReport:
@@ -388,7 +491,7 @@ class TestBoundsReport:
         assert not report.lipschitz_flags["alpha_exceeds_declared"]
         assert not report.lipschitz_flags["beta_exceeds_declared"]
         payload = report.to_dict()
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert len(payload["checks"]) == len(report.checks)
 
     def test_understated_constants_get_flagged(self):

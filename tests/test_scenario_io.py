@@ -194,7 +194,7 @@ class TestArtifacts:
     def test_bounds_json_schema(self, run):
         _, _, report, paths = run
         payload = json.load(open(paths.bounds_json))
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["all_passed"] == report.all_passed()
         assert {c["name"] for c in payload["checks"]} == {c.name for c in report.checks}
 
@@ -283,7 +283,7 @@ def test_snapshot_writer_matches_per_value_formatting(bounds, n_cells, tmp_path)
     u.flat[:3] = -0.0, 5e-324, 1.7976931348623157e308
     w.flat[-3:] = -1.7976931348623157e308, -2.5e-310, -0.0
     trace = CoupledTrace(Trace(grid, times, u), Trace(grid, times, w), (),
-                         WindowPlan(0.3, 0.3, 0.0, False))
+                         WindowPlan(0.3, 0.3, 0.0, False, np.zeros(4)))
     write_snapshots(trace, str(tmp_path / "new"), every=2)
     write_snapshots_per_value(trace, str(tmp_path / "old"), every=2)
     names = sorted(os.listdir(tmp_path / "old"))
