@@ -19,12 +19,12 @@ Simpson in time).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .grid import (Field, Grid, l1_norms, linf_norms, norm_l1, norm_linf, require_finite,
                    total_variation, total_variations)
@@ -176,25 +176,106 @@ def dirichlet_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _tridiagonal(n: int, coeff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I - coeff * Lap_1d) as (sub, main, super) diagonals; wall rows carry the ghost."""
-    off = np.full(n - 1, -coeff)
-    main = np.full(n, 1.0 + 2.0 * coeff)
-    main[0] = main[-1] = 1.0 + 3.0 * coeff
-    return off, main, off
+class AxisSolve(NamedTuple):
+    """Exact solve of one axis's matrix A = I - coeff * Lap_1d, precomputed.
 
+    A short axis is one block and ``block`` is the dense inverse of A.  A
+    long axis is cut into equal blocks, the tail padded past the last cell,
+    and D, block-diagonal, repeats the Toeplitz block
+    tridiag(-coeff, 1 + 2 coeff, -coeff) whose inverse is ``block``.  The
+    ghost terms of the two wall rows, the two couplings across each block
+    interface and the removal of the last cell's coupling to the padding
+    make a low-rank U = E F^T with A = D + U on the padded axis, and the
+    Woodbury identity (the SPIKE partitioning of Polizzi & Sameh, Parallel
+    Computing 32, 2006, with everything precomputed) gives
 
-def _solve_axis(rhs: np.ndarray, band: tuple[np.ndarray, ...], axis: int) -> np.ndarray:
-    """Solve the tridiagonal system along one axis with LAPACK gtsv.
+        A^-1 f = r - D^-1 E (I + F^T D^-1 E)^-1 F^T r,   r = D^-1 f.
 
-    gtsv is the routine scipy's solve_banded calls for (1, 1) bands; calling
-    it directly skips that wrapper's per-call validation.
+    F^T r gathers r at ``rows``; ``reduced`` maps those values to each
+    block's weights on the few columns of ``block`` that D^-1 E uses,
+    ``spikes``.  The operator is small (40 kB at 1024 cells), so it stays
+    in cache from one step to the next.
     """
-    moved = rhs.swapaxes(0, axis)  # rhs is at most 2D
-    *_, sol, info = dgtsv(*band, moved.reshape(len(moved), -1))
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return sol.reshape(moved.shape).swapaxes(0, axis)
+
+    block: np.ndarray    # (size, size)
+    rows: np.ndarray     # (K,) the cells F^T gathers
+    reduced: np.ndarray  # (count * n_spikes, K)
+    spikes: np.ndarray   # (size, n_spikes)
+
+
+# Axes of up to this many cells take the dense inverse: in 1D its one
+# matrix-vector product beats the five calls of the blocked form.
+_SHORT_AXIS = 128
+
+
+def _block_size(n: int) -> int:
+    """The whole axis when it is short; else the power of two nearest
+    (16 n)^(1/3), which balances the block products (n * size per column)
+    against the interface correction (about 8 (n / size)^2)."""
+    return n if n <= _SHORT_AXIS else 2 ** round(math.log2(16 * n) / 3)
+
+
+@functools.lru_cache(maxsize=16)
+def _tridiagonal(n: int, coeff: float) -> AxisSolve:
+    """The solve of (I - coeff * Lap_1d) on n cells; wall rows carry the ghost.
+
+    For coeff >= 0 the matrix is strictly diagonally dominant (each row's
+    diagonal exceeds its off-diagonal sum by at least 1), hence never
+    singular, and so are the Toeplitz block, the padded matrix D + E F^T
+    and with them the capacitance matrix I + F^T D^-1 E.  The matrix is
+    constant per step size and axis, so the solve is built once, cached,
+    and shared: its arrays are read-only.
+    """
+    size = _block_size(n)
+    d = np.arange(size)
+    matrix = np.zeros((size, size))
+    matrix[d, d] = 1.0 + 2.0 * coeff
+    matrix[d[:-1], d[1:]] = matrix[d[1:], d[:-1]] = -coeff
+    if size == n:
+        matrix[[0, -1], [0, -1]] = 1.0 + 3.0 * coeff
+        solve = AxisSolve(np.linalg.inv(matrix), np.empty(0, dtype=int),
+                          np.empty((0, 0)), np.empty((n, 0)))
+    else:
+        block = np.linalg.inv(matrix)
+        count = -(-n // size)
+        # U = sum_j weight_j e_coupled[j] e_rows[j]^T
+        last = np.arange(1, count) * size - 1  # cell before each interface
+        cut = [n - 1, n] if count * size > n else []
+        coupled = np.concatenate(([0, n - 1], last, last + 1, cut)).astype(int)
+        rows = np.concatenate(([0, n - 1], last + 1, last, cut[::-1])).astype(int)
+        weight = np.concatenate(([coeff, coeff], np.full(2 * len(last), -coeff),
+                                 np.full(len(cut), coeff)))
+        owner, local = np.divmod(coupled, size)
+        columns, slot = np.unique(local, return_inverse=True)
+        # column j of D^-1 E is weight_j times column local_j of block,
+        # placed in block owner_j
+        same_block = rows[:, None] // size == owner[None, :]
+        capacitance = np.eye(len(rows)) + np.where(
+            same_block, block[(rows % size)[:, None], local[None, :]] * weight, 0.0)
+        scatter = np.zeros((count * len(columns), len(rows)))
+        scatter[owner * len(columns) + slot, np.arange(len(rows))] = weight
+        reduced = np.linalg.solve(capacitance.T, scatter.T).T
+        solve = AxisSolve(block, rows, reduced, block[:, columns])
+    for array in solve:
+        array.flags.writeable = False
+    return solve
+
+
+def _solve_axis(rhs: np.ndarray, solve: AxisSolve, axis: int) -> np.ndarray:
+    """Apply a precomputed axis solve along one axis of a 1D or 2D rhs."""
+    block, rows, reduced, spikes = solve
+    moved = rhs.swapaxes(0, axis)
+    n, size = len(moved), len(block)
+    if size == n:
+        return (block @ moved).swapaxes(0, axis)
+    count = -(-n // size)
+    flat = moved.reshape(n, -1)
+    if count * size > n:
+        flat = np.concatenate((flat, np.zeros((count * size - n, flat.shape[1]))))
+    x = block @ flat.reshape(count, size, -1)
+    weights = reduced @ x.reshape(count * size, -1).take(rows, axis=0)
+    x -= spikes @ weights.reshape(count, spikes.shape[1], -1)
+    return x.reshape(count * size, -1)[:n].reshape(moved.shape).swapaxes(0, axis)
 
 
 def coefficient_times(times: np.ndarray, kind: str) -> np.ndarray:
@@ -216,7 +297,7 @@ def coefficient_rows(times: np.ndarray, snapshots: np.ndarray, kind: str) -> np.
 
 def step_sizes(times: np.ndarray, dt: float) -> np.ndarray:
     """The steps between ``times``, each within 1e-15 of dt snapped to dt,
-    so that they share one set of tridiagonal bands."""
+    so that they share one cached axis solve."""
     steps = np.diff(times)
     return np.where(np.abs(steps - dt) < 1e-15, dt, steps)
 
@@ -234,10 +315,11 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
     Backward Euler in 2D uses sequential fully implicit sweeps (keeps the
     sign-preservation argument of the 1D solve); the trapezoidal scheme
     uses the Douglas splitting, second order in space with a first-order
-    splitting remainder.  The tridiagonal bands are built once per step
-    size.  Backward Euler needs dt * max|B| < 1 at every step: the march
-    stops before the first step that breaks it and, once the states before
-    it are known to be finite, raises StiffReaction.
+    splitting remainder.  The axis solves come from the ``_tridiagonal``
+    cache, looked up again only when the step size changes.  Backward
+    Euler needs dt * max|B| < 1 at every step: the march stops before the
+    first step that breaks it and, once the states before it are known to
+    be finite, raises StiffReaction.
     """
     n, dim = len(dts), grid.dim
     theta = 1.0 if kind == "implicit_euler" else 0.5
@@ -247,16 +329,13 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
         over = np.flatnonzero(stiffness >= 1.0)
         if over.size:
             n_ok, stiff = int(over[0]), stiffness[over[0]]
-    bands: dict[float, list] = {}
     out = np.empty((n_ok + 1,) + grid.shape)
     out[0] = w0
     for k in range(n_ok):
         dt, w = dts[k], out[k]
-        if dt not in bands:
+        if k == 0 or dt != dts[k - 1]:
             coeff = theta * dt * mu
-            bands[dt] = [_tridiagonal(n_ax, coeff / h**2)
-                         for n_ax, h in zip(grid.shape, grid.dx)]
-        band = bands[dt]
+            solves = [_tridiagonal(n_ax, coeff / h**2) for n_ax, h in zip(grid.shape, grid.dx)]
         reaction = np.zeros(grid.shape)
         if B is not None:
             reaction = reaction + B[k] * w
@@ -267,17 +346,17 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
                 rhs = w + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w, grid) + reaction)
             else:
                 rhs = w + dt * reaction
-            out[k + 1] = _solve_axis(rhs, band[0], axis=0)
+            out[k + 1] = _solve_axis(rhs, solves[0], axis=0)
         elif kind == "implicit_euler":
-            half = _solve_axis(w + dt * reaction, band[0], axis=0)
-            out[k + 1] = _solve_axis(half, band[1], axis=1)
+            half = _solve_axis(w + dt * reaction, solves[0], axis=0)
+            out[k + 1] = _solve_axis(half, solves[1], axis=1)
         else:
             # Douglas ADI, theta = 1/2
             lap_x = _dirichlet_laplacian_1d(w, grid.dx[0], axis=0)
             lap_y = _dirichlet_laplacian_1d(w, grid.dx[1], axis=1)
             full_rhs = w + dt * (mu * (lap_x + lap_y) + reaction)
-            y1 = _solve_axis(full_rhs - theta * dt * mu * lap_x, band[0], axis=0)
-            out[k + 1] = _solve_axis(y1 - theta * dt * mu * lap_y, band[1], axis=1)
+            y1 = _solve_axis(full_rhs - theta * dt * mu * lap_x, solves[0], axis=0)
+            out[k + 1] = _solve_axis(y1 - theta * dt * mu * lap_y, solves[1], axis=1)
     if n_ok < n:
         require_finite(out)
         raise StiffReaction(f"dt * max|B| = {stiff:.3g} >= 1")

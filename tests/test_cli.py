@@ -154,7 +154,7 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
     # `predprey run` writes for the shipped scenarios; refactors must keep
     # those bytes, and only a change of arithmetic made on purpose (last: the
-    # window sizes grown from each window's iterations) regenerates the manifest
+    # precomputed axis solves of the diffusion step) regenerates the manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")
@@ -235,14 +235,16 @@ for command in (["run"], ["bounds"], ["lipschitz", "--delta", "1e-2"],
     assert cli.main([*command, "--scenario", scenario_path, "--out", out]) == 0, command
 assert "scipy.integrate" not in sys.modules
 assert "scipy.ndimage" not in sys.modules
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
-def test_solve_commands_do_not_import_scipy_integrate(tmp_path):
-    # the oracles import scipy.integrate when called; no solve command may
-    # load it, since it adds about 250 modules to every cold start; the
-    # direct-correlation oracle of the nonlocal average is the only user of
-    # scipy.ndimage (46 more modules), and no solve command may load it either
+def test_solve_commands_do_not_import_scipy(tmp_path):
+    # the oracles import scipy.integrate when called, and the direct-correlation
+    # oracle of the nonlocal average scipy.ndimage; the diffusion step solves
+    # with numpy alone; so no solve command loads any scipy module, which
+    # would more than double the modules of every cold start
     import subprocess
     import sys
 

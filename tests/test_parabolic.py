@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey.grid import DomainSpec, Field, build_grid, full, norm_linf, zeros
 from predprey.parabolic import (NonPositiveTime, ParabolicProblem, Requires1D, Scheme,
-                                StiffReaction, check_parabolic_bounds, default_time_step,
-                                duhamel_reference, green_interval, heat_kernel,
-                                parabolic_stability_experiment, solve_parabolic,
-                                step_parabolic, weak_residual_parabolic)
+                                StiffReaction, _solve_axis, _tridiagonal,
+                                check_parabolic_bounds, default_time_step, duhamel_reference,
+                                green_interval, heat_kernel, parabolic_stability_experiment,
+                                solve_parabolic, step_parabolic, weak_residual_parabolic)
 from predprey.series import constant
 from predprey.testfunctions import SineTestFunction, default_family
 
@@ -57,6 +59,72 @@ class TestGreenInterval:
             for y in pts:
                 g = green_interval(1.0, 0.1, 0.0, x, y, 1.0, 200)
                 assert 0.0 <= g <= heat_kernel(1.0, 0.1, x - y) + 1e-8
+
+
+def diagonals(n, coeff):
+    """(sub, main, super) of I - coeff * Lap_1d with the ghost-cell wall rows."""
+    off = np.full(n - 1, -coeff)
+    main = np.full(n, 1.0 + 2.0 * coeff)
+    main[0] = main[-1] = 1.0 + 3.0 * coeff
+    return off, main, off
+
+
+def lapack_solve(rhs, coeff, axis):
+    # LAPACK gtsv on the same diagonals, the solve the axis operator replaced
+    from scipy.linalg.lapack import dgtsv
+
+    moved = np.moveaxis(rhs, axis, 0)
+    n = len(moved)
+    off, main, _ = diagonals(n, coeff)
+    # the wrapper wants a non-empty off-diagonal even at n = 1, where gtsv never reads it
+    off = off if n > 1 else np.zeros(1)
+    *_, sol, info = dgtsv(off, main, off, moved.reshape(n, -1))
+    assert info == 0
+    return np.moveaxis(sol.reshape(moved.shape), 0, axis)
+
+
+class TestAxisSolve:
+    # coefficients of the shipped 1D runs (2.05, 4.1) and of a 1024-cell
+    # grid at dt = 8.8e-4 (46)
+    @pytest.mark.parametrize("coeff", [2.05, 4.1, 46.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 1000, 1024])
+    def test_matches_lapack_1d(self, n, coeff):
+        rhs = np.random.default_rng(n).standard_normal(n)
+        ref = lapack_solve(rhs, coeff, 0)
+        got = _solve_axis(rhs, _tridiagonal(n, coeff), 0)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # (40, 150) takes the blocked form along its long axis
+    @pytest.mark.parametrize("shape", [(48, 80), (40, 150)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_lapack_2d(self, shape, axis):
+        rhs = np.random.default_rng(axis).standard_normal(shape)
+        coeff = 4.1
+        ref = lapack_solve(rhs, coeff, axis)
+        got = _solve_axis(rhs, _tridiagonal(rhs.shape[axis], coeff), axis)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.floats(0.0, 1e3), st.integers(0, 2**32 - 1))
+    def test_residual(self, n, coeff, seed):
+        f = np.random.default_rng(seed).standard_normal(n)
+        x = _solve_axis(f, _tridiagonal(n, coeff), 0)
+        off, main, _ = diagonals(n, coeff)
+        residual = main * x - f
+        residual[1:] += off * x[:-1]
+        residual[:-1] += off * x[1:]
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_cached_and_read_only(self, n):
+        solve = _tridiagonal(n, 4.1)
+        assert _tridiagonal(n, 4.1) is solve
+        for array in solve:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 class TestDuhamelReference:
