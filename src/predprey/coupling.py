@@ -1,14 +1,18 @@
 """Fixed-point coupling of the drift and diffusion equations, plus the bound ledger.
 
-The nonlinear system is solved by successive substitution: freeze the
-velocity and both reaction coefficients at the previous iterate, solve the
-two linear problems, repeat until the sup-in-time L1 distance between
-iterates drops below tolerance.  Contraction only holds on short time
-windows, so the horizon is split into windows: the first sized from the
-contraction constant estimate, each later one from how fast the one before
-it settled, and any of them halved whenever an iteration fails to settle;
-the final iterate of each window seeds the next, making the stitched trace
-continuous at the joints by construction.
+The nonlinear system is solved by successive substitution, swept w first:
+freeze beta at the previous iterate and solve the diffusion, freeze the
+velocity and alpha at the new w and solve the transport, repeat until the
+sup-in-time L1 distance between iterates drops below tolerance.  This is
+the Gauss-Seidel form of the Jacobi map of the contraction proof, which
+freezes all three at the previous iterate; both have the same fixed point,
+and the sweep leaves neither species an iteration behind the other.
+Contraction only holds on short time windows, so the horizon is split into
+windows: the first sized from the contraction constant estimate, each later
+one from how fast the one before it settled, and any of them halved
+whenever an iteration fails to settle; the final iterate of each window
+seeds the next, making the stitched trace continuous at the joints by
+construction.
 
 The converged iterate is the unique fixed point whatever the start, so the
 start only sets how many iterations a window needs.  By default each window
@@ -32,13 +36,14 @@ ledger records the longest window used against the a-priori condition.
 Each Picard window is array-backed and planned once: the step times, each
 solver's step sizes and the controls a and b (which do not depend on the
 iterate) are fixed before iterating.  An iterate is one (n_steps+1,
-*grid.shape) array per species.  Each iteration freezes the coefficients on
-it (one batched convolution for the velocity, one broadcast evaluation each
-for alpha and beta), passes the rows each step reads straight to the
-transport and parabolic march kernels, checks the marched stacks for
-finiteness and takes the Picard difference as one reduction over the time
-axis; only the converged iterate is wrapped in Traces.  The windows are
-written into two arrays covering the whole horizon.
+*grid.shape) array per species.  Each iteration samples beta on it in one
+broadcast evaluation and marches w, freezes the velocity (one batched
+convolution) and alpha (one broadcast evaluation) on the new w and marches
+u, passing the rows each step reads straight to the march kernels; it
+checks each marched stack for finiteness and takes the Picard difference
+as one reduction over the time axis; only the converged iterate is wrapped
+in Traces.  The windows are written into two arrays covering the whole
+horizon.
 
 The BoundsReport assembles every a-priori constant of the underlying
 estimates from scenario data (with empirically sampled constants standing
@@ -192,27 +197,26 @@ def sample_keyed(expr: ex.Expr, key: str, grid: Grid, times,
         raise ex.NonFiniteValue(f"[{key}] {exc}") from None
 
 
-def freeze_coefficients(times: np.ndarray, u: np.ndarray, w: np.ndarray,
-                        scenario: Scenario, kernel: Kernel):
-    """Velocity, alpha and beta frozen at an iterate's snapshots.
+def freeze_coefficients(times: np.ndarray, w: np.ndarray, scenario: Scenario,
+                        kernel: Kernel):
+    """The drift's coefficients frozen at the snapshots of a ``w`` iterate.
 
-    ``u`` and ``w`` hold one snapshot per entry of ``times``, shape
+    ``w`` holds one snapshot per entry of ``times``, shape
     (len(times), *grid.shape).  Returns the coefficient snapshots at the
     same times: the velocity, shape (len(times), dim, *grid.shape), from one
-    batched convolution, and alpha and beta, shape (len(times),
-    *grid.shape), from one broadcast evaluation each.
+    batched convolution, and alpha, shape (len(times), *grid.shape), from
+    one broadcast evaluation.
     """
-    grid = kernel.grid
     c = drift_velocity(w, kernel, scenario.kappa, scenario.attract)
-    A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w)
-    B = sample_keyed(scenario.beta, "coefficients.beta", grid, times, u=u, w=w)
-    return c, A, B
+    A = sample_keyed(scenario.alpha, "coefficients.alpha", kernel.grid, times, w=w)
+    return c, A
 
 
 # Highest order of the start prediction, chosen by measurement on the shipped
-# scenario to T = 4: degree 2/3/4/5/6 take 543/415/343/337/365 Picard
-# iterations.  Past 4 the gain is gone, as a longer extrapolation amplifies
-# the tolerance-sized error of the converged states it is built from.
+# scenario to T = 4 (Jacobi iteration, four-step windows): degree 2/3/4/5/6
+# take 543/415/343/337/365 Picard iterations.  Past 4 the gain is gone, as a
+# longer extrapolation amplifies the tolerance-sized error of the converged
+# states it is built from.
 PREDICTOR_DEGREE = 4
 
 
@@ -248,6 +252,14 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
                   max_iter: int, start: tuple[np.ndarray, np.ndarray] | None = None):
     """Iterate the frozen-coefficient solves on [t0, t1] until they settle.
 
+    The window solves the fixed point u = F(w), w = G(u, w): F marches the
+    drift with c(w) and alpha(w) frozen, G the diffusion with beta(u, w)
+    frozen.  The map of the contraction proof is the Jacobi form, which
+    freezes all three on the previous iterate, so each species lags one
+    iteration behind the other.  This is its Gauss-Seidel form, with the
+    same fixed point: each iteration samples beta on the previous (u, w)
+    and marches w, then freezes c and alpha on the new w and marches u.
+    Where beta does not depend on u, the first w march is already exact.
     ``start`` is the first iterate (u, w), each broadcastable to one
     (n_steps+1, *grid.shape) stack; by default the datum held constant.
     Returns converged (u, w) traces and the iteration log; raises
@@ -270,13 +282,14 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
                      parabolic.coefficient_times(times, kind))
     diffs: list[float] = []
     for iteration in range(1, max_iter + 1):
-        c, A, B = freeze_coefficients(times, u_prev, w_prev, scenario, kernel)
-        u_next = transport.march_upwind(u_init.values, transport.coefficient_rows(c),
-                                        transport.coefficient_rows(A), a, u_dts, grid)
-        require_finite(u_next)
+        B = sample_keyed(scenario.beta, "coefficients.beta", grid, times, u=u_prev, w=w_prev)
         w_next = parabolic.march_imex(w_init.values, parabolic.coefficient_rows(times, B, kind),
                                       b, w_dts, scenario.mu, kind, grid)
         require_finite(w_next)
+        c, A = freeze_coefficients(times, w_next, scenario, kernel)
+        u_next = transport.march_upwind(u_init.values, transport.coefficient_rows(c),
+                                        transport.coefficient_rows(A), a, u_dts, grid)
+        require_finite(u_next)
         diff = float(np.max(l1_norms(u_next - u_prev, grid) + l1_norms(w_next - w_prev, grid)))
         diffs.append(diff)
         log.debug("window [%g, %g] iteration %d diff %.3e", t0, t1, iteration, diff)
@@ -400,9 +413,9 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
 # MIN_WINDOW_STEPS steps.  A window that settled in at most GROW_AT_MOST
 # iterations (the predicted start plus one confirming march) doubles the
 # next one; one that needed SHRINK_FROM or more halves it.  Measured on the
-# shipped scenario to T = 4: the rule runs 57 windows of 4 to 32 steps (170
-# iterations) where the 4-step a-priori floor ran 200 (343 iterations), and
-# every ratio of Picard differences two iterations apart stays below 0.002.
+# shipped scenario to T = 4: the rule runs 30 windows of 4 to 32 steps (86
+# iterations) where the 4-step a-priori floor runs 200 (337 iterations), and
+# every ratio of successive Picard differences stays below 0.0023.
 # A window costs one coefficient freeze per iteration plus its set-up, which
 # on 128 cells outweighs the extra marched steps.
 MIN_WINDOW_STEPS = 4

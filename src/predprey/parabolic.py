@@ -203,21 +203,28 @@ class AxisSolve(NamedTuple):
     spikes: np.ndarray   # (size, n_spikes)
 
 
-# Axes of up to this many cells take the dense inverse: in 1D its one
-# matrix-vector product beats the five calls of the blocked form.
-_SHORT_AXIS = 128
+# The dense inverse costs about n^2 multiply-adds per rhs column, the blocked
+# form a few calls plus n * size per column: an axis takes the dense inverse
+# while it has at most _DENSE_CELLS cells and n^2 * columns stays at most
+# _DENSE_WORK (see the per-call sweep in the README).
+_DENSE_CELLS = 256
+_DENSE_WORK = 64**3
 
 
-def _block_size(n: int) -> int:
-    """The whole axis when it is short; else the power of two nearest
-    (16 n)^(1/3), which balances the block products (n * size per column)
-    against the interface correction (about 8 (n / size)^2)."""
-    return n if n <= _SHORT_AXIS else 2 ** round(math.log2(16 * n) / 3)
+def _block_size(n: int, columns: int = 1) -> int:
+    """The whole axis for a dense solve of ``columns`` right-hand sides;
+    else the power of two nearest (16 n)^(1/3), which balances the block
+    products (n * size per column) against the interface correction
+    (about 8 (n / size)^2)."""
+    if n <= _DENSE_CELLS and n * n * columns <= _DENSE_WORK:
+        return n
+    return min(n, 2 ** round(math.log2(16 * n) / 3))
 
 
 @functools.lru_cache(maxsize=16)
-def _tridiagonal(n: int, coeff: float) -> AxisSolve:
-    """The solve of (I - coeff * Lap_1d) on n cells; wall rows carry the ghost.
+def _tridiagonal(n: int, coeff: float, columns: int = 1) -> AxisSolve:
+    """The solve of (I - coeff * Lap_1d) on n cells for ``columns``
+    right-hand sides at a time; wall rows carry the ghost.
 
     For coeff >= 0 the matrix is strictly diagonally dominant (each row's
     diagonal exceeds its off-diagonal sum by at least 1), hence never
@@ -226,7 +233,7 @@ def _tridiagonal(n: int, coeff: float) -> AxisSolve:
     constant per step size and axis, so the solve is built once, cached,
     and shared: its arrays are read-only.
     """
-    size = _block_size(n)
+    size = _block_size(n, columns)
     d = np.arange(size)
     matrix = np.zeros((size, size))
     matrix[d, d] = 1.0 + 2.0 * coeff
@@ -315,11 +322,12 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
     Backward Euler in 2D uses sequential fully implicit sweeps (keeps the
     sign-preservation argument of the 1D solve); the trapezoidal scheme
     uses the Douglas splitting, second order in space with a first-order
-    splitting remainder.  The axis solves come from the ``_tridiagonal``
-    cache, looked up again only when the step size changes.  Backward
-    Euler needs dt * max|B| < 1 at every step: the march stops before the
-    first step that breaks it and, once the states before it are known to
-    be finite, raises StiffReaction.
+    splitting remainder.  The explicit part w -> (1 + dt B) w + dt b of
+    every step is built before the loop in whole-array operations, and the
+    axis solves come from the ``_tridiagonal`` cache, looked up again only
+    when the step size changes.  Backward Euler needs dt * max|B| < 1 at
+    every step: the march stops before the first step that breaks it and,
+    once the states before it are known to be finite, raises StiffReaction.
     """
     n, dim = len(dts), grid.dim
     theta = 1.0 if kind == "implicit_euler" else 0.5
@@ -329,33 +337,33 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
         over = np.flatnonzero(stiffness >= 1.0)
         if over.size:
             n_ok, stiff = int(over[0]), stiffness[over[0]]
+    dt_rows = dts[:n_ok].reshape((-1,) + (1,) * dim)
+    gain = None if B is None else 1.0 + dt_rows * B[:n_ok]
+    shift = None if b is None else dt_rows * b[:n_ok]
     out = np.empty((n_ok + 1,) + grid.shape)
     out[0] = w0
     for k in range(n_ok):
         dt, w = dts[k], out[k]
         if k == 0 or dt != dts[k - 1]:
             coeff = theta * dt * mu
-            solves = [_tridiagonal(n_ax, coeff / h**2) for n_ax, h in zip(grid.shape, grid.dx)]
-        reaction = np.zeros(grid.shape)
-        if B is not None:
-            reaction = reaction + B[k] * w
-        if b is not None:
-            reaction = reaction + b[k]
+            solves = [_tridiagonal(n_ax, coeff / h**2, w.size // n_ax)
+                      for n_ax, h in zip(grid.shape, grid.dx)]
+        # the explicit part (1 + dt B) w + dt b
+        rhs = w if gain is None else gain[k] * w
+        if shift is not None:
+            rhs = rhs + shift[k]
         if dim == 1:
             if theta < 1.0:
-                rhs = w + dt * ((1.0 - theta) * mu * dirichlet_laplacian(w, grid) + reaction)
-            else:
-                rhs = w + dt * reaction
+                rhs = rhs + ((1.0 - theta) * dt * mu) * dirichlet_laplacian(w, grid)
             out[k + 1] = _solve_axis(rhs, solves[0], axis=0)
         elif kind == "implicit_euler":
-            half = _solve_axis(w + dt * reaction, solves[0], axis=0)
-            out[k + 1] = _solve_axis(half, solves[1], axis=1)
+            out[k + 1] = _solve_axis(_solve_axis(rhs, solves[0], axis=0), solves[1], axis=1)
         else:
             # Douglas ADI, theta = 1/2
             lap_x = _dirichlet_laplacian_1d(w, grid.dx[0], axis=0)
             lap_y = _dirichlet_laplacian_1d(w, grid.dx[1], axis=1)
-            full_rhs = w + dt * (mu * (lap_x + lap_y) + reaction)
-            y1 = _solve_axis(full_rhs - theta * dt * mu * lap_x, solves[0], axis=0)
+            rhs = rhs + (dt * mu) * (lap_x + lap_y)
+            y1 = _solve_axis(rhs - theta * dt * mu * lap_x, solves[0], axis=0)
             out[k + 1] = _solve_axis(y1 - theta * dt * mu * lap_y, solves[1], axis=1)
     if n_ok < n:
         require_finite(out)

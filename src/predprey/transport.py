@@ -11,7 +11,8 @@ Two independent routes:
   assembles the representation-formula value, exact up to ODE/quadrature
   error; and
 * a conservative dimension-split upwind finite-volume scheme under a CFL
-  restriction, the production stepping path.
+  restriction, the production stepping path, marched as precomputed
+  three-point stencils.
 
 Every stability/variation estimate used by the coupled system ships here as
 an executable check against measured norms.
@@ -273,25 +274,33 @@ def characteristics_solution_field(problem: TransportProblem, t: float,
     return Field(problem.grid, vals.reshape(problem.grid.shape))
 
 
-def _face_speeds(c_axis: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Upwind flux factors of one velocity component, sweep axis first after time.
+def _axis_stencils(c_axis: np.ndarray, ratios: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Upwind stencil rows of one velocity component, sweep axis first after time.
 
-    ``c_axis`` has shape (n_steps, n_cells_along_axis, ...).  Returns the
-    interior face speeds split by sign and the wall factors: inflow carries
-    the exterior 0, outflow upwinds the interior value.
+    ``c_axis`` has shape (n_steps, n_cells_along_axis, ...) and ``ratios``
+    holds dt/dx per step.  The conservative update v_i - r (F_{i+1/2} -
+    F_{i-1/2}) takes the face flux F = max(c_f, 0) v_left + min(c_f, 0)
+    v_right at the mean c_f of the two cell speeds, and at the walls lets
+    inflow carry the exterior 0 and outflow upwind the interior value.  It
+    is the three-point stencil lower_i v_{i-1} + diag_i v_i + upper_i
+    v_{i+1}; returns (lower, diag, upper), lower and upper one row shorter
+    along the axis (there is no cell beyond a wall).
     """
+    r = ratios.reshape((-1,) + (1,) * (c_axis.ndim - 1))
     c_face = 0.5 * (c_axis[:, :-1] + c_axis[:, 1:])
-    return (np.maximum(c_face, 0.0), np.minimum(c_face, 0.0),
-            np.minimum(c_axis[:, :1], 0.0), np.maximum(c_axis[:, -1:], 0.0))
+    pos, neg = np.maximum(c_face, 0.0), np.minimum(c_face, 0.0)
+    # each cell's outflow through its right face and inflow through its left
+    right = np.concatenate((pos, np.maximum(c_axis[:, -1:], 0.0)), axis=1)
+    left = np.concatenate((np.minimum(c_axis[:, :1], 0.0), neg), axis=1)
+    return r * pos, 1.0 - r * (right - left), -r * neg
 
 
-def _upwind_sweep(v: np.ndarray, faces: tuple[np.ndarray, ...], dt: float,
-                  dx: float) -> np.ndarray:
-    """Conservative upwind transport along axis 0, zero-inflow walls."""
-    pos, neg, left, right = faces
-    flux_interior = pos * v[:-1] + neg * v[1:]
-    flux = np.concatenate([left * v[:1], flux_interior, right * v[-1:]], axis=0)
-    return v - dt / dx * (flux[1:] - flux[:-1])
+def _sweep(v: np.ndarray, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+           out: np.ndarray) -> None:
+    """out = lower_i v_{i-1} + diag_i v_i + upper_i v_{i+1} along axis 0."""
+    np.multiply(diag, v, out=out)
+    out[1:] += lower * v[:-1]
+    out[:-1] += upper * v[1:]
 
 
 # a state that overflows is rejected once, when the returned stack is
@@ -307,29 +316,38 @@ def march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
     does, or ``require_finite``).
     The CFL limit is checked for all steps up front; the march stops before
     the first violating step and, once the states before it are known to be
-    finite, raises CflViolation.
+    finite, raises CflViolation.  Every step's coefficients are built
+    before the loop in whole-array operations: per axis the stencil rows of
+    ``_axis_stencils``, and the source as u -> (1 + dt A) u + dt a.  A step
+    is then one ``_sweep`` per axis and at most two in-place updates.
     """
     n, dim = len(dts), grid.dim
     cmax = np.max(np.abs(c.reshape(n, -1)), axis=1)
     cfl = dts * cmax / min(grid.dx)
     over = np.flatnonzero(cfl > 0.9 + 1e-12)
     n_ok = int(over[0]) if over.size else n
-    # axis ax of a (<= 2D) field moved first is a swap with axis 0
-    faces = [_face_speeds(c[:n_ok, ax].swapaxes(1, ax + 1)) for ax in range(dim)]
+    # axis ax of a (<= 2D) field moved first is a swap with axis 0; each
+    # axis's rows regrouped per step as (lower, diag, upper)
+    stencils = [tuple(zip(*_axis_stencils(c[:n_ok, ax].swapaxes(1, ax + 1),
+                                          dts[:n_ok] / grid.dx[ax])))
+                for ax in range(dim)]
+    dt_rows = dts[:n_ok].reshape((-1,) + (1,) * dim)
+    gain = None if A is None else 1.0 + dt_rows * A[:n_ok]
+    shift = None if a is None else dt_rows * a[:n_ok]
     out = np.empty((n_ok + 1,) + grid.shape)
     out[0] = u0
+    half = np.empty(grid.shape) if dim == 2 else None
     for k in range(n_ok):
-        vals = out[k]
-        for ax in range(dim):
-            faces_k = [f[k] for f in faces[ax]]
-            vals = _upwind_sweep(vals.swapaxes(0, ax), faces_k, dts[k],
-                                 grid.dx[ax]).swapaxes(0, ax)
-        source = np.zeros(grid.shape)
-        if A is not None:
-            source = source + A[k] * vals
-        if a is not None:
-            source = source + a[k]
-        out[k + 1] = vals + dts[k] * source
+        nxt = out[k + 1]
+        if dim == 1:
+            _sweep(out[k], *stencils[0][k], out=nxt)
+        else:
+            _sweep(out[k], *stencils[0][k], out=half)
+            _sweep(half.T, *stencils[1][k], out=nxt.T)
+        if gain is not None:
+            nxt *= gain[k]
+        if shift is not None:
+            nxt += shift[k]
     if over.size:
         require_finite(out)
         raise CflViolation(f"dt*max|c|/min(dx) = {cfl[n_ok]:.3f} exceeds 0.9")

@@ -253,7 +253,7 @@ def test_10_decoupling_equivalence():
     B_series = partial(ex.sample_stack, scenario.beta, grid)
     w_ref = solve_parabolic(ParabolicProblem(grid, scenario.mu, B_series, b_series, w0),
                             scenario.horizon, scenario.scheme())
-    c, A, _ = freeze_coefficients(w_ref.times, w_ref.values, w_ref.values, scenario, kernel)
+    c, A = freeze_coefficients(w_ref.times, w_ref.values, scenario, kernel)
     c_ser = sampled(w_ref.times, c)
     A_ser = sampled(w_ref.times, A)
     a_series = partial(ex.sample_stack, scenario.a, grid)

@@ -154,7 +154,8 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
     # `predprey run` writes for the shipped scenarios; refactors must keep
     # those bytes, and only a change of arithmetic made on purpose (last: the
-    # precomputed axis solves of the diffusion step) regenerates the manifest
+    # w-first Picard sweep and the precomputed step stencils) regenerates the
+    # manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")

@@ -14,8 +14,8 @@ from predprey.coupling import (PREDICTOR_DEGREE, NoContraction, Scenario,
                                compute_bounds_report,
                                extrapolate_window, freeze_coefficients,
                                initial_window, lipschitz_in_data_experiment,
-                               picard_window, positivity_audit, solve_coupled,
-                               stability_in_controls_experiment)
+                               picard_window, positivity_audit, sample_keyed,
+                               solve_coupled, stability_in_controls_experiment)
 from predprey.grid import DomainSpec, Field, norm_l1
 from predprey.parabolic import ParabolicProblem, solve_parabolic
 from predprey.scenario_io import load_scenario
@@ -142,7 +142,8 @@ class TestFreeze:
         kernel = make_kernel(s.ell, grid)
         times = np.array([0.0, 0.01, 0.02])
         z = np.zeros((3,) + grid.shape)
-        c, A, B = freeze_coefficients(times, z, z, s, kernel)
+        c, A = freeze_coefficients(times, z, s, kernel)
+        B = sample_keyed(s.beta, "coefficients.beta", grid, times, u=z, w=z)
         c_ser = sampled(times, c)
         A_ser, B_ser = sampled(times, A), sampled(times, B)
         assert np.all(c_ser(np.array([0.005]))[0] == 0.0)
@@ -156,7 +157,8 @@ class TestFreeze:
         times = np.array([0.0, 0.01])
         u = np.full((2,) + grid.shape, 0.25)
         w = np.full((2,) + grid.shape, 0.5)
-        _, A, B = freeze_coefficients(times, u, w, s, kernel)
+        _, A = freeze_coefficients(times, w, s, kernel)
+        B = sample_keyed(s.beta, "coefficients.beta", grid, times, u=u, w=w)
         A_ser, B_ser = sampled(times, A), sampled(times, B)
         assert np.allclose(A_ser(np.array([0.0]))[0], 0.5)
         assert np.allclose(B_ser(np.array([0.0]))[0], -0.25)
@@ -236,7 +238,7 @@ class TestSolveCoupled:
         B_series = partial(ex.sample_stack, s.beta, grid)
         w_ref = solve_parabolic(ParabolicProblem(grid, s.mu, B_series, b_series, w0),
                                 s.horizon, s.scheme())
-        c, A, _ = freeze_coefficients(w_ref.times, w_ref.values, w_ref.values, s, kernel)
+        c, A = freeze_coefficients(w_ref.times, w_ref.values, s, kernel)
         c_ser = sampled(w_ref.times, c)
         A_ser = sampled(w_ref.times, A)
         a_series = partial(ex.sample_stack, s.a, grid)
@@ -274,29 +276,40 @@ class TestSolveCoupled:
             solve_coupled(make_scenario(), initial_iterate="previous")
 
     def test_shipped_scenario_iterations(self):
-        # the quartic prediction settles fast enough for the windows to grow:
-        # 16 windows and 46 iterations, where 25 floored four-step windows
-        # took 57; the datum start needs 4 iterations in every window, so its
-        # windows stay at the floor: 25 windows, 100 iterations
+        # the quartic prediction and the w-first sweep settle fast enough for
+        # the windows to grow: 8 windows and 21 iterations, where 25 floored
+        # four-step windows took 57; the datum start needs 3 iterations in
+        # every window, so its windows stay at the floor: 25 windows, 75
+        # iterations
         s = load_scenario(SHIPPED)
         trace = solve_coupled(s)
-        assert len(trace.window_logs) == 16
+        assert len(trace.window_logs) == 8
         assert all(wl.converged for wl in trace.window_logs)
-        assert sum(wl.iterations for wl in trace.window_logs) <= 46
+        assert sum(wl.iterations for wl in trace.window_logs) <= 21
         datum = solve_coupled(s, "datum").window_logs
         assert len(datum) == 25
-        assert sum(wl.iterations for wl in datum) == 100
+        assert sum(wl.iterations for wl in datum) == 75
 
     def test_shipped_scenario_long_horizon_iterations(self):
-        # to T = 4: 57 windows of 4 to 32 steps and 170 iterations, where
+        # to T = 4: 30 windows of 4 to 32 steps and 86 iterations, where
         # 200 floored four-step windows took 343
         s = replace(load_scenario(SHIPPED), horizon=4.0)
         trace = solve_coupled(s)
-        assert len(trace.window_logs) == 57
+        assert len(trace.window_logs) == 30
         assert all(wl.converged for wl in trace.window_logs)
-        assert sum(wl.iterations for wl in trace.window_logs) <= 170
+        assert sum(wl.iterations for wl in trace.window_logs) <= 86
         steps = [wl.steps for wl in trace.window_logs]
         assert (min(steps), max(steps)) == (4, 32)
+
+    def test_shipped_long_horizon_differences_fall_at_every_iteration(self):
+        # the w-first sweep leaves no species a step behind the other, so on
+        # every window, grown ones included, each Picard difference is a
+        # small fraction of the one before (largest ratio 0.0023)
+        s = replace(load_scenario(SHIPPED), horizon=4.0)
+        ratios = [wl.diffs[i + 1] / wl.diffs[i] for wl in solve_coupled(s).window_logs
+                  for i in range(wl.iterations - 1)]
+        assert ratios
+        assert max(ratios) < 0.01
 
     @pytest.mark.parametrize("overrides", [
         dict(horizon=4.0),
@@ -316,7 +329,7 @@ class TestSolveCoupled:
         import predprey.coupling as cp
 
         # an oversized first window fails and is halved twice
-        s = make_scenario(**MILD_SCENARIO, picard_max_iter=2, picard_tol=1e-5)
+        s = make_scenario(**MILD_SCENARIO, picard_max_iter=2, picard_tol=3e-8)
         monkeypatch.setattr(cp, "initial_window", fixed_window(0.2))
         with caplog.at_level(logging.INFO, logger="predprey.coupling"):
             trace = solve_coupled(s)
@@ -443,11 +456,11 @@ class TestInitialWindow:
         assert window["c_uw_times_largest"] >= window["c_uw_times_window"]
         if floored:
             # the a-priori window is shorter than the 4 dt floor, and the
-            # grown windows reach 8 steps, where c_uw * window is 1.52
+            # grown windows reach 20 steps, where c_uw * window is 4.91
             assert window["a_priori_s"] < 4 * s.dt
             assert window["c_uw_times_window"] == pytest.approx(0.708, abs=5e-4)
-            assert largest == 8
-            assert window["c_uw_times_largest"] == pytest.approx(1.516, abs=5e-4)
+            assert largest == 20
+            assert window["c_uw_times_largest"] == pytest.approx(4.911, abs=5e-4)
             assert window["condition_held_all"] is False
         else:
             # the whole horizon is one window inside the a-priori condition
@@ -588,7 +601,7 @@ def test_2d_coupled_scenario():
 def test_window_halving_recovers_from_oversized_window(monkeypatch):
     import predprey.coupling as cp
 
-    s = make_scenario(horizon=0.2, picard_max_iter=4)
+    s = make_scenario(horizon=0.2, picard_max_iter=3)
     monkeypatch.setattr(cp, "initial_window", fixed_window(0.2))
     trace = cp.solve_coupled(s)
     assert trace.times[-1] == pytest.approx(0.2)

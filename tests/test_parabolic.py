@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predprey.parabolic as pb
 from predprey.grid import DomainSpec, Field, build_grid, full, norm_linf, zeros
 from predprey.parabolic import (NonPositiveTime, ParabolicProblem, Requires1D, Scheme,
-                                StiffReaction, _solve_axis, _tridiagonal,
-                                check_parabolic_bounds, default_time_step, duhamel_reference,
-                                green_interval, heat_kernel, parabolic_stability_experiment,
+                                StiffReaction, _block_size, _dirichlet_laplacian_1d,
+                                _solve_axis, _tridiagonal, check_parabolic_bounds,
+                                default_time_step, duhamel_reference, green_interval,
+                                heat_kernel, march_imex, parabolic_stability_experiment,
                                 solve_parabolic, step_parabolic, weak_residual_parabolic)
 from predprey.series import constant
 from predprey.testfunctions import SineTestFunction, default_family
@@ -125,6 +127,109 @@ class TestAxisSolve:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0
+
+
+    @pytest.mark.parametrize("n,columns,dense", [
+        (128, 1, True), (256, 1, True), (257, 1, False), (1024, 1, False),
+        (64, 64, True), (80, 80, False), (128, 128, False), (256, 256, False),
+    ])
+    def test_form_follows_length_and_columns(self, n, columns, dense):
+        # 1D axes up to 256 cells and 2D 64^2 take the dense inverse, 2D
+        # 128^2 the blocks
+        assert (_block_size(n, columns) == n) is dense
+        assert (len(_tridiagonal(n, 4.1, columns).block) == n) is dense
+
+    @pytest.mark.parametrize("shape", [(128, 128), (90, 200)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_blocked_2d_matches_lapack(self, shape, axis):
+        rhs = np.random.default_rng(axis).standard_normal(shape)
+        n = rhs.shape[axis]
+        solve = _tridiagonal(n, 4.1, rhs.size // n)
+        assert len(solve.block) < n
+        ref = lapack_solve(rhs, 4.1, axis)
+        got = _solve_axis(rhs, solve, axis)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def rhs_march(w0, B, b, dts, mu, kind, grid):
+    """The IMEX march with its explicit part built per step as w + dt (B w +
+    b), the form the precomputed gain 1 + dt B and shift dt b replaced.
+    Returns the states up to the first stiff step, and that step (len(dts)
+    if none)."""
+    n, dim = len(dts), grid.dim
+    theta = 1.0 if kind == "implicit_euler" else 0.5
+    n_ok = n
+    if kind == "implicit_euler" and B is not None:
+        over = np.flatnonzero(dts * np.max(np.abs(B.reshape(n, -1)), axis=1) >= 1.0)
+        n_ok = int(over[0]) if over.size else n
+    out = [w0]
+    for k in range(n_ok):
+        dt, w = dts[k], out[-1]
+        solves = [_tridiagonal(n_ax, theta * dt * mu / h**2, w.size // n_ax)
+                  for n_ax, h in zip(grid.shape, grid.dx)]
+        reaction = np.zeros(grid.shape)
+        if B is not None:
+            reaction = reaction + B[k] * w
+        if b is not None:
+            reaction = reaction + b[k]
+        if dim == 1:
+            if theta < 1.0:
+                lap = _dirichlet_laplacian_1d(w, grid.dx[0])
+                rhs = w + dt * ((1.0 - theta) * mu * lap + reaction)
+            else:
+                rhs = w + dt * reaction
+            out.append(_solve_axis(rhs, solves[0], axis=0))
+        elif kind == "implicit_euler":
+            half = _solve_axis(w + dt * reaction, solves[0], axis=0)
+            out.append(_solve_axis(half, solves[1], axis=1))
+        else:
+            lap_x = _dirichlet_laplacian_1d(w, grid.dx[0], axis=0)
+            lap_y = _dirichlet_laplacian_1d(w, grid.dx[1], axis=1)
+            full_rhs = w + dt * (mu * (lap_x + lap_y) + reaction)
+            y1 = _solve_axis(full_rhs - theta * dt * mu * lap_x, solves[0], axis=0)
+            out.append(_solve_axis(y1 - theta * dt * mu * lap_y, solves[1], axis=1))
+    return np.stack(out), n_ok
+
+
+def random_diffusion(shape, n_steps, seed):
+    """A grid and march data with dt * max|B| up to 0.8."""
+    g = build_grid(DomainSpec(((0.0, 1.0),) * len(shape)), shape)
+    rng = np.random.default_rng(seed)
+    dts = np.full(n_steps, 0.01)
+    dts[n_steps // 2:] = 0.005   # one change of step size
+    return (g, rng.uniform(0.0, 1.0, g.shape), rng.uniform(-80.0, 80.0, (n_steps,) + g.shape),
+            rng.uniform(-1.0, 1.0, (n_steps,) + g.shape), dts)
+
+
+class TestPrecomputedExplicitPart:
+    """march_imex's gain and shift against the explicit part built per step."""
+
+    @pytest.mark.parametrize("shape", [(48,), (20, 28)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("kind", ["implicit_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("with_B", [True, False], ids=["B", "no_B"])
+    @pytest.mark.parametrize("with_b", [True, False], ids=["b", "no_b"])
+    def test_matches_rhs_built_per_step(self, shape, kind, with_B, with_b):
+        g, w0, B, b, dts = random_diffusion(shape, 12, len(shape))
+        B, b = (B if with_B else None), (b if with_b else None)
+        ref, n_ok = rhs_march(w0, B, b, dts, 0.05, kind, g)
+        got = march_imex(w0, B, b, dts, 0.05, kind, g)
+        assert n_ok == len(dts) and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(48,), (20, 28)], ids=["1d", "2d"])
+    def test_stiff_stop_at_same_step(self, shape, monkeypatch):
+        g, w0, B, b, dts = random_diffusion(shape, 12, 7)
+        B[4].flat[2] = 1.0 / dts[4]   # dt * |B| = 1 at step 4
+        B[9].flat[0] = -3.0 / dts[9]
+        ref, n_ok = rhs_march(w0, B, b, dts, 0.05, "implicit_euler", g)
+        assert n_ok == 4
+        checked = []
+        monkeypatch.setattr(pb, "require_finite", checked.append)
+        with pytest.raises(StiffReaction):
+            march_imex(w0, B, b, dts, 0.05, "implicit_euler", g)
+        (got,) = checked
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestDuhamelReference:

@@ -2,22 +2,37 @@
 
 The oracle below is the slow path: coefficients frozen one snapshot at a
 time, read back through ``at(t)`` with the original bracket-and-blend rule,
-and marched one ``fv_upwind_step``/``step_parabolic`` call per step.  The
-array path must reproduce it bit for bit, from the datum start and from the
-quadratic and quartic predicted starts, and must still fail the same way.
+and marched one ``fv_upwind_step``/``step_parabolic`` call per step, in the
+window's sweep order (w first, then u on the new w).  The array path must
+reproduce it bit for bit, from the datum start and from the quadratic and
+quartic predicted starts, and must still fail the same way.
+
+A second oracle keeps the Jacobi order of the contraction proof, all three
+coefficients frozen on the previous iterate: the sweep has the same fixed
+point, so both must land within the benchmark's reference tolerance of
+each other.
 """
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from predprey import expressions as ex
-from predprey.coupling import Scenario, extrapolate_window, picard_window
-from predprey.grid import DomainSpec, Field, GridError, VectorField, build_grid, norm_l1, zeros
+from predprey import parabolic, transport
+from predprey.coupling import (NoContraction, Scenario, WindowLog, extrapolate_window,
+                               picard_window, sample_keyed, solve_coupled)
+from predprey.grid import (DomainSpec, Field, GridError, VectorField, build_grid, l1_norms,
+                           norm_l1, require_finite, zeros)
 from predprey.parabolic import (ParabolicProblem, Scheme, StiffReaction, solve_parabolic,
                                 step_parabolic)
-from predprey.series import constant, step_times
+from predprey.scenario_io import load_scenario
+from predprey.series import Trace, constant, step_times
 from predprey.transport import CflViolation, TransportProblem, fv_upwind_step, solve_hyperbolic
-from predprey.velocity import make_kernel, velocity
+from predprey.velocity import drift_velocity, make_kernel, velocity
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
 
 
 def make_scenario(**overrides) -> Scenario:
@@ -90,21 +105,27 @@ def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
         u_prev, w_prev = ([Field(grid, row) for row in stack] for stack in start)
     diffs = []
     for _ in range(s.picard_max_iter):
-        c = Snapshots(times, [velocity(w, kernel, s.kappa, s.attract) for w in w_prev])
-        A = Snapshots(times, [ex.sample_field(s.alpha, grid, t, w=w)
-                              for t, w in zip(times, w_prev)])
+        # w first, with beta at the previous iterate
         B = Snapshots(times, [ex.sample_field(s.beta, grid, t, u=u, w=w)
                               for t, u, w in zip(times, u_prev, w_prev)])
-        u_next, w_next = [u_init], [w_init]
+        w_next = [w_init]
+        for k in range(len(steps) - 1):
+            t = float(steps[k])
+            dt_k = float(steps[k + 1] - steps[k])
+            step_scheme = scheme if abs(dt_k - scheme.dt) < 1e-15 else Scheme(scheme.kind, dt_k)
+            t_coeff = t + 0.5 * dt_k if scheme.kind == "crank_nicolson" else t
+            w_next.append(step_parabolic(w_next[-1], B.at(t_coeff),
+                                         ex.sample_field(s.b, grid, t_coeff), s.mu, step_scheme))
+        # then u, with the velocity and alpha at the new w
+        c = Snapshots(times, [velocity(w, kernel, s.kappa, s.attract) for w in w_next])
+        A = Snapshots(times, [ex.sample_field(s.alpha, grid, t, w=w)
+                              for t, w in zip(times, w_next)])
+        u_next = [u_init]
         for k in range(len(steps) - 1):
             t = float(steps[k])
             dt_k = float(steps[k + 1] - steps[k])
             u_next.append(fv_upwind_step(u_next[-1], c.at(t), A.at(t),
                                          ex.sample_field(s.a, grid, t), dt_k))
-            step_scheme = scheme if abs(dt_k - scheme.dt) < 1e-15 else Scheme(scheme.kind, dt_k)
-            t_coeff = t + 0.5 * dt_k if scheme.kind == "crank_nicolson" else t
-            w_next.append(step_parabolic(w_next[-1], B.at(t_coeff),
-                                         ex.sample_field(s.b, grid, t_coeff), s.mu, step_scheme))
         diffs.append(max(
             norm_l1(Field(grid, un.values - up.values)) + norm_l1(Field(grid, wn.values - wp.values))
             for un, up, wn, wp in zip(u_next, u_prev, w_next, w_prev)
@@ -113,6 +134,40 @@ def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
         if diffs[-1] < s.picard_tol:
             return u_next, w_next, diffs
     raise AssertionError("oracle window did not settle")
+
+
+def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter, start=None):
+    """picard_window in the Jacobi order: c, alpha and beta all frozen on the
+    previous iterate, then both species marched."""
+    times = step_times(t1 - t0, scenario.dt, t0)
+    u_start, w_start = (u_init.values, w_init.values) if start is None else start
+    stacked = (len(times),) + grid.shape
+    u_prev = np.broadcast_to(u_start, stacked)
+    w_prev = np.broadcast_to(w_start, stacked)
+    kind = scenario.parabolic_scheme
+    u_dts = np.diff(times)
+    w_dts = parabolic.step_sizes(times, scenario.dt)
+    a = sample_keyed(scenario.a, "coefficients.a", grid, transport.coefficient_times(times))
+    b = sample_keyed(scenario.b, "coefficients.b", grid,
+                     parabolic.coefficient_times(times, kind))
+    diffs = []
+    for _ in range(max_iter):
+        c = drift_velocity(w_prev, kernel, scenario.kappa, scenario.attract)
+        A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w_prev)
+        B = sample_keyed(scenario.beta, "coefficients.beta", grid, times, u=u_prev, w=w_prev)
+        u_next = transport.march_upwind(u_init.values, transport.coefficient_rows(c),
+                                        transport.coefficient_rows(A), a, u_dts, grid)
+        w_next = parabolic.march_imex(w_init.values, parabolic.coefficient_rows(times, B, kind),
+                                      b, w_dts, scenario.mu, kind, grid)
+        require_finite(u_next)
+        require_finite(w_next)
+        diffs.append(float(np.max(l1_norms(u_next - u_prev, grid)
+                                  + l1_norms(w_next - w_prev, grid))))
+        u_prev, w_prev = u_next, w_next
+        if diffs[-1] < tol:
+            return (Trace(grid, times, u_next), Trace(grid, times, w_next),
+                    WindowLog(t0, t1, len(times) - 1, tuple(diffs), True))
+    raise NoContraction("jacobi window did not settle")
 
 
 CASES = dict(argnames="extra", argvalues=[
@@ -169,6 +224,34 @@ def test_predicted_start_matches_field_loop_bit_for_bit(extra):
         assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
         # the prediction starts closer to the fixed point than the datum does
         assert diffs[0] < datum_diffs[0]
+
+
+@pytest.mark.parametrize(**CASES)
+def test_sweep_matches_jacobi_window(extra):
+    # same fixed point, reached in fewer iterations
+    s = make_scenario(**extra)
+    grid = s.grid()
+    kernel = make_kernel(s.ell, grid)
+    u0, w0 = s.initial_fields(grid)
+    t0, t1 = 7 * s.dt, 15 * s.dt
+    args = (s, grid, kernel, t0, t1, u0, w0, s.picard_tol, s.picard_max_iter)
+    u_ref, w_ref, jacobi = jacobi_window(*args)
+    u_tr, w_tr, sweep = picard_window(*args)
+    assert sweep.iterations < jacobi.iterations
+    assert np.max(np.abs(u_tr.values - u_ref.values)) <= 1e3 * s.picard_tol
+    assert np.max(np.abs(w_tr.values - w_ref.values)) <= 1e3 * s.picard_tol
+
+
+def test_sweep_matches_jacobi_solve_on_shipped_long_horizon(monkeypatch):
+    import predprey.coupling as cp
+
+    s = replace(load_scenario(SHIPPED), horizon=4.0)
+    trace = solve_coupled(s)
+    monkeypatch.setattr(cp, "picard_window", jacobi_window)
+    jacobi = cp.solve_coupled(s)
+    assert len(trace.window_logs) < len(jacobi.window_logs)
+    assert np.max(np.abs(trace.u.values - jacobi.u.values)) <= 1e3 * s.picard_tol
+    assert np.max(np.abs(trace.w.values - jacobi.w.values)) <= 1e3 * s.picard_tol
 
 
 def test_array_march_raises_cfl_violation():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import predprey.transport as tp
 from predprey.grid import (DomainSpec, Field, VectorField, build_grid, full,
                            norm_l1, zeros)
 from predprey.series import Trace, constant
@@ -13,8 +14,8 @@ from predprey.transport import (CflViolation, TransportProblem,
                                 characteristics_solution_field,
                                 check_hyperbolic_bounds,
                                 eval_characteristics_solution, exponential_weight,
-                                fv_upwind_step, solve_hyperbolic, stability_in_A,
-                                stability_in_c, time_lipschitz_check,
+                                fv_upwind_step, march_upwind, solve_hyperbolic,
+                                stability_in_A, stability_in_c, time_lipschitz_check,
                                 trace_characteristic, weak_residual_hyperbolic)
 from predprey.velocity import make_kernel, velocity
 
@@ -218,6 +219,88 @@ class TestUpwind:
         err = norm_l1(Field(g, trace.final().values - oracle.values))
         assert err < 0.02
         assert min(np.min(v) for v in trace.values) >= -1e-12
+
+
+def face_speeds(c_axis):
+    """Upwind flux factors of one velocity component, sweep axis first after
+    time: the interior face speeds split by sign and the wall factors (inflow
+    carries the exterior 0, outflow upwinds the interior value)."""
+    c_face = 0.5 * (c_axis[:, :-1] + c_axis[:, 1:])
+    return (np.maximum(c_face, 0.0), np.minimum(c_face, 0.0),
+            np.minimum(c_axis[:, :1], 0.0), np.maximum(c_axis[:, -1:], 0.0))
+
+
+def upwind_sweep(v, faces, dt, dx):
+    """Conservative upwind transport along axis 0, zero-inflow walls."""
+    pos, neg, left, right = faces
+    flux_interior = pos * v[:-1] + neg * v[1:]
+    flux = np.concatenate([left * v[:1], flux_interior, right * v[-1:]], axis=0)
+    return v - dt / dx * (flux[1:] - flux[:-1])
+
+
+def flux_march(u0, c, A, a, dts, grid):
+    """The flux-form march the stencil march replaced: face fluxes per axis
+    sweep, then the explicit Euler source A u + a.  Returns the states up to
+    the first step over the CFL limit, and that step (len(dts) if none)."""
+    n, dim = len(dts), grid.dim
+    cfl = dts * np.max(np.abs(c.reshape(n, -1)), axis=1) / min(grid.dx)
+    over = np.flatnonzero(cfl > 0.9 + 1e-12)
+    n_ok = int(over[0]) if over.size else n
+    faces = [face_speeds(c[:n_ok, ax].swapaxes(1, ax + 1)) for ax in range(dim)]
+    out = [u0]
+    for k in range(n_ok):
+        vals = out[-1]
+        for ax in range(dim):
+            vals = upwind_sweep(vals.swapaxes(0, ax), [f[k] for f in faces[ax]], dts[k],
+                                grid.dx[ax]).swapaxes(0, ax)
+        source = np.zeros(grid.shape)
+        if A is not None:
+            source = source + A[k] * vals
+        if a is not None:
+            source = source + a[k]
+        out.append(vals + dts[k] * source)
+    return np.stack(out), n_ok
+
+
+def random_transport(shape, n_steps, seed):
+    """A grid and march data with velocities of both signs up to CFL 0.8."""
+    g = build_grid(DomainSpec(((0.0, 1.0),) * len(shape)), shape)
+    rng = np.random.default_rng(seed)
+    dts = rng.uniform(0.5, 1.0, n_steps) * 0.01
+    c = rng.uniform(-1.0, 1.0, (n_steps, g.dim) + g.shape) * (0.8 * min(g.dx) / 0.01)
+    return (g, rng.uniform(0.0, 1.0, g.shape), c,
+            rng.uniform(-2.0, 2.0, (n_steps,) + g.shape),
+            rng.uniform(-1.0, 1.0, (n_steps,) + g.shape), dts)
+
+
+class TestStencilMarch:
+    """The precomputed three-point stencils against the flux form."""
+
+    @pytest.mark.parametrize("shape", [(48,), (20, 28)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("with_A", [True, False], ids=["A", "no_A"])
+    @pytest.mark.parametrize("with_a", [True, False], ids=["a", "no_a"])
+    def test_matches_flux_form(self, shape, with_A, with_a):
+        g, u0, c, A, a, dts = random_transport(shape, 12, len(shape))
+        A, a = (A if with_A else None), (a if with_a else None)
+        ref, n_ok = flux_march(u0, c, A, a, dts, g)
+        got = march_upwind(u0, c, A, a, dts, g)
+        assert n_ok == len(dts) and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(48,), (20, 28)], ids=["1d", "2d"])
+    def test_cfl_stop_at_same_step(self, shape, monkeypatch):
+        g, u0, c, A, a, dts = random_transport(shape, 12, 7)
+        c[5].flat[3] = min(g.dx) / dts[5]        # CFL 1 at step 5
+        c[8].flat[0] = -3.0 * min(g.dx) / dts[8]
+        ref, n_ok = flux_march(u0, c, A, a, dts, g)
+        assert n_ok == 5
+        checked = []
+        monkeypatch.setattr(tp, "require_finite", checked.append)
+        with pytest.raises(CflViolation):
+            march_upwind(u0, c, A, a, dts, g)
+        (got,) = checked
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestBoundsChecks:
