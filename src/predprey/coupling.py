@@ -277,7 +277,8 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     # do not depend on the iterate) at the times each solver evaluates them
     u_dts = np.diff(times)
     w_dts = parabolic.step_sizes(times, scheme.dt)
-    a = sample_keyed(scenario.a, "coefficients.a", grid, transport.coefficient_times(times))
+    left = transport.coefficient_times(times)
+    a = sample_keyed(scenario.a, "coefficients.a", grid, left)
     b = sample_keyed(scenario.b, "coefficients.b", grid,
                      parabolic.coefficient_times(times, kind))
     diffs: list[float] = []
@@ -286,9 +287,9 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
         w_next = parabolic.march_imex(w_init.values, parabolic.coefficient_rows(times, B, kind),
                                       b, w_dts, scenario.mu, kind, grid)
         require_finite(w_next)
-        c, A = freeze_coefficients(times, w_next, scenario, kernel)
-        u_next = transport.march_upwind(u_init.values, transport.coefficient_rows(c),
-                                        transport.coefficient_rows(A), a, u_dts, grid)
+        # transport reads c and alpha at each step's left end only
+        c, A = freeze_coefficients(left, w_next[:-1], scenario, kernel)
+        u_next = transport.march_upwind(u_init.values, c, A, a, u_dts, grid)
         require_finite(u_next)
         diff = float(np.max(l1_norms(u_next - u_prev, grid) + l1_norms(w_next - w_prev, grid)))
         diffs.append(diff)
@@ -575,49 +576,45 @@ def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
 
     Sampling covers the state range the trace actually visited (slightly
     inflated); the report flags quotients exceeding the declared constants.
+    Each sample draws, in this order, a time, a cell index per axis, a
+    ``w`` pair and a ``u`` pair.  ``alpha`` is then evaluated once over all
+    samples, and ``beta`` once over the kept ones.  A sample whose ``alpha``
+    pair is not finite (a probe slightly outside the visited range hit a
+    pole) is dropped from both quotients, and one whose ``beta`` pair is not
+    finite from the ``beta`` quotient: the quotients are measurements, not
+    gates.  Every sample draws its ``u`` pair, so a dropped sample shifts
+    no later draw.
     """
     rng = np.random.default_rng(scenario.seed + 1)
     grid = trace.grid
-    mesh = grid.centers()
     w_lo = float(np.min(trace.w.values)) - 0.1
     w_hi = float(np.max(trace.w.values)) + 0.1
     u_lo = float(np.min(trace.u.values)) - 0.1
     u_hi = float(np.max(trace.u.values)) + 0.1
     t_hi = float(trace.times[-1])
-    names = ("t", "x", "y")[: 1 + grid.dim]
-    k_alpha = 0.0
-    # the draws stay in this loop because a sample whose alpha pair fails
-    # draws no u pair; beta is evaluated on the kept samples afterwards
-    points, u_pairs, w_pairs = [], [], []
+    t, cells, w, u = [], [], [], []
     for _ in range(n_samples):
-        t = rng.uniform(0.0, t_hi)
-        idx = tuple(rng.integers(0, n) for n in grid.shape)
-        point = (t,) + tuple(float(m[idx]) for m in mesh)
-        w_pair = rng.uniform(w_lo, w_hi, size=2)
-        dw = abs(w_pair[0] - w_pair[1])
-        if dw > 1e-9:
-            try:
-                alpha = ex.evaluate(scenario.alpha, dict(zip(names, point), w=w_pair))
-            except ex.NonFiniteValue:
-                # probe slightly outside the visited range hit a pole; skip the
-                # sample, the quotient is a measurement, not a gate
-                continue
-            alpha = np.broadcast_to(alpha, 2)
-            k_alpha = max(k_alpha, abs(alpha[0] - alpha[1]) / dw)
-        u_pair = rng.uniform(u_lo, u_hi, size=2)
-        if dw + abs(u_pair[0] - u_pair[1]) > 1e-9:
-            points.append(point)
-            u_pairs.append(u_pair)
-            w_pairs.append(w_pair)
-    if not points:
-        return k_alpha, 0.0
-    points, u, w = np.array(points), np.array(u_pairs), np.array(w_pairs)
-    env = {name: points[:, k, None] for k, name in enumerate(names)}
+        t.append(rng.uniform(0.0, t_hi))
+        cells.append([rng.integers(0, n) for n in grid.shape])
+        w.append(rng.uniform(w_lo, w_hi, size=2))
+        u.append(rng.uniform(u_lo, u_hi, size=2))
+    w, u = np.array(w), np.array(u)
+    at = tuple(np.array(cells).T)
+    env = {"t": np.array(t)[:, None],
+           **{name: m[at][:, None] for name, m in zip(("x", "y"), grid.centers())}}
+    alpha = np.broadcast_to(ex.evaluate_raw(scenario.alpha, {**env, "w": w}), w.shape)
+    finite = np.all(np.isfinite(alpha), axis=1)
+    dw = np.abs(w[:, 0] - w[:, 1])
+    du = np.abs(u[:, 0] - u[:, 1])
+    graded = finite & (dw > 1e-9)
+    k_alpha = np.max(np.abs(alpha[graded, 0] - alpha[graded, 1]) / dw[graded], initial=0.0)
+    kept = finite & (dw + du > 1e-9)
+    env = {name: v[kept] for name, v in env.items()}
+    u, w, du_w = u[kept], w[kept], du[kept] + dw[kept]
     beta = np.broadcast_to(ex.evaluate_raw(scenario.beta, {**env, "u": u, "w": w}), u.shape)
-    kept = np.all(np.isfinite(beta), axis=1)
-    db = np.abs(beta[kept, 0] - beta[kept, 1])
-    du_w = np.abs(u[kept, 0] - u[kept, 1]) + np.abs(w[kept, 0] - w[kept, 1])
-    return k_alpha, float(np.max(db / du_w, initial=0.0))
+    ok = np.all(np.isfinite(beta), axis=1)
+    k_beta = np.max(np.abs(beta[ok, 0] - beta[ok, 1]) / du_w[ok], initial=0.0)
+    return float(k_alpha), float(k_beta)
 
 
 def alpha_variation_quotient(scenario: Scenario, trace: CoupledTrace) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -169,15 +169,30 @@ def _per_field(values: np.ndarray, grid: Grid) -> np.ndarray:
     return values.reshape(values.shape[:values.ndim - grid.dim] + (-1,))
 
 
+def _once_per_repeated_row(norms):
+    """Reduce a stack that repeats one row (stride 0 on its first axis, as
+    sample_stack returns for an expression without t, u or w) on that row
+    alone, and repeat the value into a fresh array of the stack's length."""
+    @wraps(norms)
+    def reduce(values: np.ndarray, grid: Grid) -> np.ndarray:
+        if values.ndim > grid.dim and len(values) > 1 and values.strides[0] == 0:
+            return np.repeat(norms(values[:1], grid), len(values), axis=0)
+        return norms(values, grid)
+    return reduce
+
+
+@_once_per_repeated_row
 def l1_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-volume weighted sum of |f| per field of a stack."""
     return np.sum(np.abs(_per_field(values, grid)), axis=-1) * grid.cell_volume
 
 
+@_once_per_repeated_row
 def linf_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.max(np.abs(_per_field(values, grid)), axis=-1)
 
 
+@_once_per_repeated_row
 def total_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete total variation per field of a stack, jumps to the exterior 0.
 

@@ -369,12 +369,6 @@ def coefficient_times(times: np.ndarray) -> np.ndarray:
     return times[:-1]
 
 
-def coefficient_rows(snapshots: np.ndarray) -> np.ndarray:
-    """Coefficient snapshots stored at the step times, one row per step:
-    the row at the step's left end (see coefficient_times)."""
-    return snapshots[:-1]
-
-
 def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
                      t_start: float = 0.0) -> Trace:
     """Upwind march from t_start to t_start + T, trace stored every step.

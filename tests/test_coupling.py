@@ -311,6 +311,21 @@ class TestSolveCoupled:
         assert ratios
         assert max(ratios) < 0.01
 
+    def test_shipped_long_horizon_freezes_only_the_rows_transport_reads(self, monkeypatch):
+        # transport reads c and alpha at each step's left end, so each
+        # iteration freezes one row per step: 2356 rows to T = 4, where
+        # freezing every row of each iterate took 2442
+        import predprey.coupling as cp
+        rows = []
+
+        def counted(times, w, scenario, kernel):
+            rows.append(len(times))
+            return freeze_coefficients(times, w, scenario, kernel)
+
+        monkeypatch.setattr(cp, "freeze_coefficients", counted)
+        logs = solve_coupled(replace(load_scenario(SHIPPED), horizon=4.0)).window_logs
+        assert sum(rows) == sum(wl.steps * wl.iterations for wl in logs) == 2356
+
     @pytest.mark.parametrize("overrides", [
         dict(horizon=4.0),
         dict(horizon=2.0, parabolic_scheme="crank_nicolson"),

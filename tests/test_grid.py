@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predprey.grid import (DomainSpec, Field, GridError, build_grid, divergence,
-                           divergences, gradient_components, interior_variations,
-                           interp_field, norm_l1, norm_linf, total_variation,
-                           VectorField, full, zeros)
+from predprey import expressions as ex
+from predprey.grid import (DomainSpec, Field, GridError, _once_per_repeated_row,
+                           build_grid, divergence, divergences, gradient_components,
+                           interior_variations, interp_field, l1_norms, linf_norms, norm_l1,
+                           norm_linf, total_variation, total_variations, VectorField, full,
+                           zeros)
 
 
 def grid1d(n=10, lo=0.0, hi=1.0):
@@ -169,3 +171,42 @@ def test_total_variation_2d_half_plane_step():
     step = Field(g, (xs > 0.5).astype(float))
     # interior jump line (length 1) + right boundary (1) + two half top/bottom edges
     assert total_variation(step) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("src,n_cells", [("0.1", (128,)), ("x", (128,)), ("x*y", (9, 13))],
+                         ids=["constant", "x", "2d-x*y"])
+def test_repeated_row_stack_norms_match_a_copy(src, n_cells):
+    # sample_stack repeats one row for an expression without t: stride 0.
+    # The reference copy is C-ordered: np.array(stack) would keep the stride
+    # order, putting the repeated axis innermost, and a 2D stack laid out so
+    # is not reduced one field at a time.
+    g = build_grid(DomainSpec(((0.0, 1.0), (0.0, 2.0))[:len(n_cells)]), n_cells)
+    times = np.linspace(0.0, 4.0, 801)
+    stack = ex.sample_stack(ex.parse(src, ex.Slot.SOURCE_A), g, times)
+    assert stack.strides[0] == 0
+    for norms in (l1_norms, linf_norms, total_variations):
+        got = norms(stack, g)
+        assert np.array_equal(got, norms.__wrapped__(stack, g))
+        assert np.array_equal(got, norms(np.array(stack, order="C"), g))
+        assert np.all(got == norms(stack[0], g))
+        assert got.shape == (801,) and got.flags.writeable
+
+
+def test_repeated_row_reduced_once_other_stacks_whole():
+    g = grid1d(16)
+    seen = []
+
+    def record(values, grid):
+        seen.append(values)
+        return l1_norms.__wrapped__(values, grid)
+
+    reduce = _once_per_repeated_row(record)
+    row = np.linspace(-1.0, 1.0, 16)
+    repeated = np.broadcast_to(row, (5, 16))
+    assert np.array_equal(reduce(repeated, g), np.full(5, l1_norms(row, g)))
+    assert len(seen) == 1 and seen[0].shape == (1, 16)
+    # a one-row stack, an ordinary stack and a single field go through whole
+    for values in (np.broadcast_to(row, (1, 16)), np.stack([row, 2 * row]), row):
+        seen.clear()
+        assert np.array_equal(reduce(values, g), l1_norms.__wrapped__(values, g))
+        assert len(seen) == 1 and seen[0] is values

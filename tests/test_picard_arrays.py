@@ -155,8 +155,7 @@ def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter,
         c = drift_velocity(w_prev, kernel, scenario.kappa, scenario.attract)
         A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w_prev)
         B = sample_keyed(scenario.beta, "coefficients.beta", grid, times, u=u_prev, w=w_prev)
-        u_next = transport.march_upwind(u_init.values, transport.coefficient_rows(c),
-                                        transport.coefficient_rows(A), a, u_dts, grid)
+        u_next = transport.march_upwind(u_init.values, c[:-1], A[:-1], a, u_dts, grid)
         w_next = parabolic.march_imex(w_init.values, parabolic.coefficient_rows(times, B, kind),
                                       b, w_dts, scenario.mu, kind, grid)
         require_finite(u_next)
