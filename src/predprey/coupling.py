@@ -306,19 +306,25 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
 
 def _smooth_sample_fields(grid: Grid, base: list[Field], seed: int,
                           count: int = 8) -> list[Field]:
-    """Deterministic smooth densities for the velocity-hypothesis sampling."""
+    """Deterministic smooth densities for the velocity-hypothesis sampling.
+
+    Each of the ``count`` densities sums three Gaussian bumps, and each bump
+    draws an amplitude, a width and a centre per axis.  One generator call
+    draws all of them in that order, which gives the doubles of one scalar
+    call per parameter.
+    """
     rng = np.random.default_rng(seed)
     mesh = grid.centers()
+    lows = [-1.0, 5.0] + [lo for lo, _ in grid.spec.bounds]
+    highs = [1.0, 60.0] + [hi for _, hi in grid.spec.bounds]
+    draws = rng.uniform(np.tile(lows, 3 * count), np.tile(highs, 3 * count))
     fields = list(base)
-    for _ in range(count):
+    for bumps in draws.reshape(count, 3, len(lows)):
         vals = np.zeros(grid.shape)
-        for _ in range(3):
-            amp = rng.uniform(-1.0, 1.0)
-            width = rng.uniform(5.0, 60.0)
-            centers = [rng.uniform(lo, hi) for lo, hi in grid.spec.bounds]
+        for amp, width, *centers in bumps:
             bump = np.ones(grid.shape)
-            for ax, m in enumerate(mesh):
-                bump = bump * np.exp(-width * (m - centers[ax]) ** 2)
+            for m, center in zip(mesh, centers):
+                bump = bump * np.exp(-width * (m - center) ** 2)
             vals += amp * bump
         fields.append(Field(grid, vals))
     fields.append(Field(grid, np.zeros(grid.shape)))
@@ -576,14 +582,14 @@ def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
 
     Sampling covers the state range the trace actually visited (slightly
     inflated); the report flags quotients exceeding the declared constants.
-    Each sample draws, in this order, a time, a cell index per axis, a
-    ``w`` pair and a ``u`` pair.  ``alpha`` is then evaluated once over all
-    samples, and ``beta`` once over the kept ones.  A sample whose ``alpha``
-    pair is not finite (a probe slightly outside the visited range hit a
-    pole) is dropped from both quotients, and one whose ``beta`` pair is not
-    finite from the ``beta`` quotient: the quotients are measurements, not
-    gates.  Every sample draws its ``u`` pair, so a dropped sample shifts
-    no later draw.
+    One generator call each draws, in this order, the times, the cell
+    indices of each axis, the ``w`` pairs and the ``u`` pairs of all
+    samples.  ``alpha`` is then evaluated once over all samples, and
+    ``beta`` once over the kept ones.  A sample whose ``alpha`` pair is not
+    finite (a probe slightly outside the visited range hit a pole) is
+    dropped from both quotients, and one whose ``beta`` pair is not finite
+    from the ``beta`` quotient: the quotients are measurements, not gates.
+    A dropped sample moves no draw.
     """
     rng = np.random.default_rng(scenario.seed + 1)
     grid = trace.grid
@@ -592,15 +598,11 @@ def estimate_coefficient_lipschitz(scenario: Scenario, trace: CoupledTrace,
     u_lo = float(np.min(trace.u.values)) - 0.1
     u_hi = float(np.max(trace.u.values)) + 0.1
     t_hi = float(trace.times[-1])
-    t, cells, w, u = [], [], [], []
-    for _ in range(n_samples):
-        t.append(rng.uniform(0.0, t_hi))
-        cells.append([rng.integers(0, n) for n in grid.shape])
-        w.append(rng.uniform(w_lo, w_hi, size=2))
-        u.append(rng.uniform(u_lo, u_hi, size=2))
-    w, u = np.array(w), np.array(u)
-    at = tuple(np.array(cells).T)
-    env = {"t": np.array(t)[:, None],
+    t = rng.uniform(0.0, t_hi, size=n_samples)
+    at = tuple(rng.integers(0, n, size=n_samples) for n in grid.shape)
+    w = rng.uniform(w_lo, w_hi, size=(n_samples, 2))
+    u = rng.uniform(u_lo, u_hi, size=(n_samples, 2))
+    env = {"t": t[:, None],
            **{name: m[at][:, None] for name, m in zip(("x", "y"), grid.centers())}}
     alpha = np.broadcast_to(ex.evaluate_raw(scenario.alpha, {**env, "w": w}), w.shape)
     finite = np.all(np.isfinite(alpha), axis=1)

@@ -160,9 +160,11 @@ def require_finite(values: np.ndarray, what: str = "field") -> None:
 
 
 # The stack norms below take one field of shape grid.shape or a stack of
-# shape (n, *grid.shape) and reduce over the grid axes only.  Each field's
-# cells are reduced as one contiguous run, so a stack gives bit for bit the
-# values of its fields taken one at a time.
+# shape (n, *grid.shape) and reduce over the grid axes only.  In a C-ordered
+# stack each field's cells are one contiguous run, so it gives bit for bit
+# the values of its fields taken one at a time.  Another memory order (say
+# np.array of a stride-0 2D stack, which keeps the time axis fastest) can
+# sum in another order and differ in the last bits.
 
 def _per_field(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Each field's cells on one trailing axis."""

@@ -335,23 +335,23 @@ def write_norms_csv(trace: CoupledTrace, path: str, every: int = 1) -> None:
 def write_snapshots(trace: CoupledTrace, directory: str, every: int = 1) -> None:
     os.makedirs(directory, exist_ok=True)
     grid = trace.grid
-    columns = ["x", "y"][: grid.dim] + ["u", "w"]
-    # one row per cell: its coordinates, u, w; '%.17g' % v is _fmt(v)
-    coords = grid.center_points()
-    table = np.empty((len(coords), len(columns)))
-    table[:, : grid.dim] = coords
-    body = "\n".join([",".join(["%.17g"] * len(columns))] * len(table))
+    columns = ",".join(["x", "y"][: grid.dim] + ["u", "w"])
+    # one row per cell: its coordinates, u, w; '%.17g' % v is _fmt(v).  The
+    # coordinates are the same in every snapshot, so they are formatted once
+    # into a template that takes each cell's u, w.
+    row = ",".join(["%.17g"] * grid.dim) + ",%%.17g,%%.17g"
+    body = "\n".join([row % tuple(c) for c in grid.center_points().tolist()]) + "\n"
+    values = np.empty((grid.total_cells, 2))
     indices = list(range(0, len(trace.times), every))
     if indices[-1] != len(trace.times) - 1:
         indices.append(len(trace.times) - 1)
     for snap_no, i in enumerate(indices):
-        table[:, -2] = trace.u.values[i].ravel()
-        table[:, -1] = trace.w.values[i].ravel()
+        values[:, 0] = trace.u.values[i].ravel()
+        values[:, 1] = trace.w.values[i].ravel()
         name = os.path.join(directory, f"snapshot_{snap_no:04d}.csv")
         with open(name, "w", encoding="ascii") as handle:
-            handle.write(f"{SNAPSHOT_HEADER} t={_fmt(trace.times[i])}\n")
-            handle.write(",".join(columns) + "\n")
-            handle.write(body % tuple(table.ravel().tolist()) + "\n")
+            handle.write(f"{SNAPSHOT_HEADER} t={_fmt(trace.times[i])}\n{columns}\n")
+            handle.write(body % tuple(values.ravel().tolist()))
 
 
 def write_bounds_json(report: BoundsReport, path: str) -> None:

@@ -154,8 +154,8 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
     # `predprey run` writes for the shipped scenarios; refactors must keep
     # those bytes, and only a change of arithmetic made on purpose (last: the
-    # w-first Picard sweep and the precomputed step stencils) regenerates the
-    # manifest
+    # Lipschitz samples drawn as arrays, which moved k_alpha/k_beta in
+    # predator_prey/ and decoupled/bounds.json) regenerates the manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")

@@ -76,10 +76,11 @@ def hypothesis_v_loop(kernel, kappa, sample_fields, attract=1):
 def coefficient_lipschitz_loop(scenario, trace, n_samples=200, drop=(), dropped=None):
     """Scalar evaluations, two per coefficient and sample.
 
-    Every sample draws t, the cell, the w pair and the u pair before any
-    evaluation.  A sample whose alpha pair is not finite, or whose index is
-    in ``drop``, is left out of both quotients; ``dropped`` collects the
-    indices of the samples left out for their alpha.
+    The times, the cell indices of each axis, the w pairs and the u pairs
+    are drawn as arrays, in that order, before any evaluation.  A sample
+    whose alpha pair is not finite, or whose index is in ``drop``, is left
+    out of both quotients; ``dropped`` collects the indices of the samples
+    left out for their alpha.
     """
     rng = np.random.default_rng(scenario.seed + 1)
     grid = trace.grid
@@ -89,17 +90,20 @@ def coefficient_lipschitz_loop(scenario, trace, n_samples=200, drop=(), dropped=
     u_lo = float(np.min(trace.u.values)) - 0.1
     u_hi = float(np.max(trace.u.values)) + 0.1
     t_hi = float(trace.times[-1])
+    times = rng.uniform(0.0, t_hi, size=n_samples)
+    cells = [rng.integers(0, n, size=n_samples) for n in grid.shape]
+    w_pairs = rng.uniform(w_lo, w_hi, size=(n_samples, 2))
+    u_pairs = rng.uniform(u_lo, u_hi, size=(n_samples, 2))
     k_alpha = k_beta = 0.0
     for k in range(n_samples):
-        t = rng.uniform(0.0, t_hi)
-        idx = tuple(rng.integers(0, n) for n in grid.shape)
-        env = {"t": t, "x": float(mesh[0][idx])}
-        if grid.dim == 2:
-            env["y"] = float(mesh[1][idx])
-        w1, w2 = rng.uniform(w_lo, w_hi, size=2)
-        u1, u2 = rng.uniform(u_lo, u_hi, size=2)
         if k in drop:
             continue
+        idx = tuple(int(c[k]) for c in cells)
+        env = {"t": float(times[k]), "x": float(mesh[0][idx])}
+        if grid.dim == 2:
+            env["y"] = float(mesh[1][idx])
+        w1, w2 = (float(v) for v in w_pairs[k])
+        u1, u2 = (float(v) for v in u_pairs[k])
         try:
             a1 = ex.evaluate(scenario.alpha, {**env, "w": w1})
             a2 = ex.evaluate(scenario.alpha, {**env, "w": w2})
@@ -117,6 +121,26 @@ def coefficient_lipschitz_loop(scenario, trace, n_samples=200, drop=(), dropped=
         except ex.NonFiniteValue:
             continue
     return k_alpha, k_beta
+
+
+def smooth_sample_fields_loop(grid, base, seed, count=8):
+    """One scalar generator call per bump parameter."""
+    rng = np.random.default_rng(seed)
+    mesh = grid.centers()
+    fields = list(base)
+    for _ in range(count):
+        vals = np.zeros(grid.shape)
+        for _ in range(3):
+            amp = rng.uniform(-1.0, 1.0)
+            width = rng.uniform(5.0, 60.0)
+            centers = [rng.uniform(lo, hi) for lo, hi in grid.spec.bounds]
+            bump = np.ones(grid.shape)
+            for ax, m in enumerate(mesh):
+                bump = bump * np.exp(-width * (m - centers[ax]) ** 2)
+            vals += amp * bump
+        fields.append(Field(grid, vals))
+    fields.append(Field(grid, np.zeros(grid.shape)))
+    return fields
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +257,45 @@ def test_coefficient_lipschitz_evaluates_each_coefficient_once(shipped, monkeypa
     estimate_coefficient_lipschitz(scenario, trace)
     assert len(calls) == 2
     assert calls.count(scenario.alpha) == calls.count(scenario.beta) == 1
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the draws made through it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("fixture", ["shipped", "shipped_2d"])
+def test_coefficient_lipschitz_draws_each_quantity_once(fixture, request, monkeypatch):
+    # one generator call for the times, one per axis for the cells, one each
+    # for the w and the u pairs: not one call per sample
+    scenario, trace = request.getfixturevalue(fixture)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CountingGenerator(default_rng(seed), calls))
+    estimate_coefficient_lipschitz(scenario, trace)
+    assert len(calls) <= 3 + trace.grid.dim
+
+
+@pytest.mark.parametrize("fixture", ["shipped", "shipped_2d"])
+def test_smooth_sample_fields_match_scalar_draws(fixture, request):
+    # one array draw of every bump parameter gives the scalar draws' doubles
+    scenario, trace = request.getfixturevalue(fixture)
+    grid = trace.grid
+    base = [Field(grid, trace.w.values[-1])]
+    got = _smooth_sample_fields(grid, base, scenario.seed)
+    want = smooth_sample_fields_loop(grid, base, scenario.seed)
+    assert len(got) == len(want) == 10
+    for g, w in zip(got, want):
+        assert np.array_equal(g.values, w.values)

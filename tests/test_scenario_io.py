@@ -290,3 +290,46 @@ def test_snapshot_writer_matches_per_value_formatting(bounds, n_cells, tmp_path)
     assert sorted(os.listdir(tmp_path / "new")) == names
     for name in names:
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+def write_snapshots_one_table(trace, directory, every):
+    """The snapshot writer that formatted the coordinates again in every
+    snapshot, one '%' fill of a whole x, y, u, w table: the oracle."""
+    os.makedirs(directory, exist_ok=True)
+    grid = trace.grid
+    columns = ["x", "y"][: grid.dim] + ["u", "w"]
+    coords = grid.center_points()
+    table = np.empty((len(coords), len(columns)))
+    table[:, : grid.dim] = coords
+    body = "\n".join([",".join(["%.17g"] * len(columns))] * len(table))
+    indices = list(range(0, len(trace.times), every))
+    if indices[-1] != len(trace.times) - 1:
+        indices.append(len(trace.times) - 1)
+    for snap_no, i in enumerate(indices):
+        table[:, -2] = trace.u.values[i].ravel()
+        table[:, -1] = trace.w.values[i].ravel()
+        name = os.path.join(directory, f"snapshot_{snap_no:04d}.csv")
+        with open(name, "w", encoding="ascii") as handle:
+            handle.write(f"{SNAPSHOT_HEADER} t={trace.times[i]:.17g}\n")
+            handle.write(",".join(columns) + "\n")
+            handle.write(body % tuple(table.ravel().tolist()) + "\n")
+
+
+def test_snapshot_writer_2d_matches_one_table_fill(tmp_path):
+    # coordinates formatted once per run must give the bytes of a table
+    # formatted whole for every snapshot, on a grid with unequal axes
+    grid = build_grid(DomainSpec(((-1.0, 0.7), (1e-3, 3.0))), (9, 5))
+    times = np.linspace(0.0, 0.6, 7)
+    rng = np.random.default_rng(11)
+    shape = (len(times),) + grid.shape
+    u = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    w = rng.uniform(-1.0, 1.0, size=shape)
+    w[-1] = -0.0
+    trace = CoupledTrace(Trace(grid, times, u), Trace(grid, times, w), (),
+                         WindowPlan(0.6, 0.6, 0.0, False, np.zeros(7)))
+    write_snapshots(trace, str(tmp_path / "new"), every=4)
+    write_snapshots_one_table(trace, str(tmp_path / "old"), every=4)
+    names = sorted(os.listdir(tmp_path / "old"))
+    assert names == sorted(os.listdir(tmp_path / "new")) and len(names) == 3
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
