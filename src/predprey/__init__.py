@@ -11,7 +11,7 @@ checks (see the bounds ledger in :mod:`predprey.coupling`).
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, divergence,
                    interp_field, norm_l1, norm_linf, total_variation)
 from .expressions import Slot, evaluate, parse, sample_field, to_source
-from .velocity import Kernel, make_kernel, modified_convolution, velocity, verify_hypothesis_v
+from .velocity import Kernel, make_kernel, modified_convolution, verify_hypothesis_v
 from .parabolic import (ParabolicProblem, Scheme, check_parabolic_bounds,
                         duhamel_reference, green_interval, heat_kernel,
                         solve_parabolic, step_parabolic)

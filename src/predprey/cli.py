@@ -40,11 +40,12 @@ from .velocity import HorizonTooSmall
 log = logging.getLogger("predprey")
 
 
-def _load(args) -> Scenario:
+def _load(args) -> tuple[Scenario, str]:
+    """The scenario with the ``--seed`` override, and the output directory."""
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=check_seed(args.seed))
-    return scenario
+    return scenario, args.out or scenario.out_dir
 
 
 def _write_json(payload: dict, out_dir: str, name: str) -> str:
@@ -56,11 +57,15 @@ def _write_json(payload: dict, out_dir: str, name: str) -> str:
     return path
 
 
-def cmd_run(args) -> int:
-    scenario = _load(args)
-    out_dir = args.out or scenario.out_dir
+def _graded_solve(args):
+    """Solve the scenario and grade the trace against the bound ledger."""
+    scenario, out_dir = _load(args)
     trace = solve_coupled(scenario)
-    report = compute_bounds_report(trace, scenario)
+    return scenario, out_dir, trace, compute_bounds_report(trace, scenario)
+
+
+def cmd_run(args) -> int:
+    scenario, out_dir, trace, report = _graded_solve(args)
     artifacts = write_run_artifacts(trace, report, scenario, out_dir)
     log.info("wrote %s", artifacts.norms_csv)
     log.info("bounds ledger all_passed=%s", report.all_passed())
@@ -68,10 +73,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    scenario = _load(args)
-    out_dir = args.out or scenario.out_dir
-    trace = solve_coupled(scenario)
-    report = compute_bounds_report(trace, scenario)
+    _, out_dir, _, report = _graded_solve(args)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "bounds.json")
     write_bounds_json(report, path)
@@ -79,74 +81,55 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _quotient_payload(rep, rep_half, delta: float) -> dict:
-    return {
-        "delta": delta,
-        "times": [float(t) for t in rep.times],
-        "lhs": [float(v) for v in rep.lhs],
-        "quotients": [float(q) for q in rep.quotients],
-        "quotients_half_delta": [float(q) for q in rep_half.quotients],
-        "final_quotient": rep.final_quotient,
-        "final_quotient_half_delta": rep_half.final_quotient,
-        "quotient_ratio": (rep.final_quotient / rep_half.final_quotient
-                           if rep_half.final_quotient > 0 else 0.0),
-    }
+def _perturbation(args, name: str, experiment) -> int:
+    """Write the response to a perturbation of size --delta, and of --delta/2
+    when it is not 0; ``experiment(scenario, size, base)`` runs one size."""
+    scenario, out_dir = _load(args)
+    delta = args.delta
+    if delta == 0.0:
+        rep = experiment(scenario, 0.0, None)
+        payload = {"delta": 0.0, "max_lhs": float(max(rep.lhs))}
+    else:
+        base = solve_coupled(scenario)
+        rep = experiment(scenario, delta, base)
+        rep_half = experiment(scenario, delta / 2, base)
+        payload = {
+            "delta": delta,
+            "quotients": [float(q) for q in rep.quotients],
+            "quotients_half_delta": [float(q) for q in rep_half.quotients],
+            "final_quotient": rep.final_quotient,
+            "final_quotient_half_delta": rep_half.final_quotient,
+            "quotient_ratio": (rep.final_quotient / rep_half.final_quotient
+                               if rep_half.final_quotient > 0 else 0.0),
+        }
+    payload["times"] = [float(t) for t in rep.times]
+    payload["lhs"] = [float(v) for v in rep.lhs]
+    path = _write_json(payload, out_dir, name)
+    log.info("wrote %s", path)
+    return 0
 
 
 def cmd_lipschitz(args) -> int:
-    scenario = _load(args)
-    out_dir = args.out or scenario.out_dir
-    delta = args.delta
-    if delta == 0.0:
-        rep = lipschitz_in_data_experiment(scenario, dw0=ex.Num(0.0))
-        payload = {
-            "delta": 0.0,
-            "times": [float(t) for t in rep.times],
-            "lhs": [float(v) for v in rep.lhs],
-            "max_lhs": float(max(rep.lhs)),
-        }
-    else:
-        base = solve_coupled(scenario)
-        rep = lipschitz_in_data_experiment(scenario, dw0=ex.Num(delta), base=base)
-        rep_half = lipschitz_in_data_experiment(scenario, dw0=ex.Num(delta / 2), base=base)
-        payload = _quotient_payload(rep, rep_half, delta)
-    path = _write_json(payload, out_dir, "lipschitz.json")
-    log.info("wrote %s", path)
-    return 0
+    return _perturbation(args, "lipschitz.json", lambda scenario, size, base:
+                         lipschitz_in_data_experiment(scenario, dw0=ex.Num(size), base=base))
 
 
 def cmd_controls(args) -> int:
-    scenario = _load(args)
-    out_dir = args.out or scenario.out_dir
-    delta = args.delta
+    return _perturbation(args, "controls.json", lambda scenario, size, base:
+                         stability_in_controls_experiment(
+                             scenario, b_tilde=ex.BinOp("+", scenario.b, ex.Num(size)),
+                             base=base))
 
-    def shifted(amount: float) -> ex.Expr:
-        return ex.BinOp("+", scenario.b, ex.Num(amount))
 
-    if delta == 0.0:
-        rep = stability_in_controls_experiment(scenario, b_tilde=shifted(0.0))
-        payload = {
-            "delta": 0.0,
-            "times": [float(t) for t in rep.times],
-            "lhs": [float(v) for v in rep.lhs],
-            "max_lhs": float(max(rep.lhs)),
-        }
-    else:
-        base = solve_coupled(scenario)
-        rep = stability_in_controls_experiment(scenario, b_tilde=shifted(delta), base=base)
-        rep_half = stability_in_controls_experiment(scenario, b_tilde=shifted(delta / 2),
-                                                    base=base)
-        payload = _quotient_payload(rep, rep_half, delta)
-    path = _write_json(payload, out_dir, "controls.json")
-    log.info("wrote %s", path)
-    return 0
+def _oracle_study(args):
+    """Refine upwind against the characteristics oracle on --resolutions."""
+    scenario, out_dir = _load(args)
+    ladder = parse_resolutions(args.resolutions)
+    return scenario, out_dir, ladder, hyperbolic_oracle_study(scenario, ladder)
 
 
 def cmd_convergence(args) -> int:
-    scenario = _load(args)
-    out_dir = args.out or scenario.out_dir
-    ladder = parse_resolutions(args.resolutions)
-    hyp = hyperbolic_oracle_study(scenario, ladder)
+    scenario, out_dir, ladder, hyp = _oracle_study(args)
     payload = {"hyperbolic_vs_oracle": hyp.to_dict()}
     if scenario.domain.dim == 1:
         payload["parabolic_vs_green"] = parabolic_duhamel_study(scenario, ladder).to_dict()
@@ -156,10 +139,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    scenario = _load(args)
-    out_dir = args.out or scenario.out_dir
-    ladder = parse_resolutions(args.resolutions)
-    hyp = hyperbolic_oracle_study(scenario, ladder)
+    _, out_dir, _, hyp = _oracle_study(args)
     path = _write_json(hyp.to_dict(), out_dir, "oracle_compare.json")
     log.info("wrote %s (fitted order %.3f)", path, hyp.fitted_order)
     return 0

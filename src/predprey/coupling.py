@@ -804,7 +804,12 @@ class ExperimentReport:
     times: np.ndarray
     lhs: np.ndarray
     denominator: np.ndarray
-    quotients: np.ndarray
+
+    @property
+    def quotients(self) -> np.ndarray:
+        """lhs / denominator, and 0 where the denominator is 0."""
+        denom = self.denominator
+        return np.where(denom > 0, self.lhs / np.where(denom > 0, denom, 1.0), 0.0)
 
     @property
     def final_quotient(self) -> float:
@@ -839,9 +844,7 @@ def lipschitz_in_data_experiment(scenario: Scenario, du0: ex.Expr | None = None,
         delta += norm_l1(ex.sample_field(dw0, grid, 0.0))
     other = solve_coupled(pert)
     lhs = _trace_distance(base, other)
-    denom = np.full(len(lhs), delta)
-    quotients = np.where(denom > 0, lhs / np.where(denom > 0, denom, 1.0), 0.0)
-    return ExperimentReport(base.times, lhs, denom, quotients)
+    return ExperimentReport(base.times, lhs, np.full(len(lhs), delta))
 
 
 def stability_in_controls_experiment(scenario: Scenario, a_tilde: ex.Expr | None = None,
@@ -870,10 +873,8 @@ def stability_in_controls_experiment(scenario: Scenario, a_tilde: ex.Expr | None
         return l1_norms(ex.sample_stack(old, grid, times)
                         - ex.sample_stack(new, grid, times), grid)
 
-    denom = cumulative_left_riemann(change(scenario.a, a_tilde) + change(scenario.b, b_tilde),
-                                    times)
-    quotients = np.where(denom > 0, lhs / np.where(denom > 0, denom, 1.0), 0.0)
-    return ExperimentReport(times, lhs, denom, quotients)
+    return ExperimentReport(times, lhs, cumulative_left_riemann(
+        change(scenario.a, a_tilde) + change(scenario.b, b_tilde), times))
 
 
 @dataclass(frozen=True)

@@ -243,11 +243,6 @@ def interior_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
             + np.sum(np.abs(_per_field(np.diff(v, axis=-1), grid)), axis=-1) * dx)
 
 
-def interior_variation(f: Field) -> float:
-    """Variation over the open domain only (see interior_variations)."""
-    return float(interior_variations(f.values, f.grid))
-
-
 def interp_values(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of cell-centered values at arbitrary points.
 

@@ -74,11 +74,6 @@ class Scheme:
         return 1.0 if self.kind == "implicit_euler" else 0.5
 
 
-def default_time_step(grid: Grid, mu: float, b_max: float = 0.0, eps: float = 1e-12) -> float:
-    """Accuracy/positivity guided step: min(2 dx^2 / mu, 1 / (2 max|B| + eps))."""
-    return min(2.0 * min(grid.dx) ** 2 / mu, 1.0 / (2.0 * b_max + eps))
-
-
 def heat_kernel(mu: float, t: float, x) -> float:
     """Free-space Gaussian kernel value at time t and displacement x."""
     if t <= 0:

@@ -318,12 +318,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _snapshot_indices(n_times: int, every: int) -> list[int]:
+    """Every ``every``-th output time, and the last one."""
+    indices = list(range(0, n_times, every))
+    if indices[-1] != n_times - 1:
+        indices.append(n_times - 1)
+    return indices
+
+
 def write_norms_csv(trace: CoupledTrace, path: str, every: int = 1) -> None:
     rows = ["t,u_l1,u_linf,u_tv,w_l1,w_linf,w_tv"]
-    indices = list(range(0, len(trace.times), every))
-    if indices[-1] != len(trace.times) - 1:
-        indices.append(len(trace.times) - 1)
-    for i in indices:
+    for i in _snapshot_indices(len(trace.times), every):
         rows.append(",".join(_fmt(v) for v in (
             trace.times[i], trace.u_l1[i], trace.u_linf[i], trace.u_tv[i],
             trace.w_l1[i], trace.w_linf[i], trace.w_tv[i],
@@ -342,10 +347,7 @@ def write_snapshots(trace: CoupledTrace, directory: str, every: int = 1) -> None
     row = ",".join(["%.17g"] * grid.dim) + ",%%.17g,%%.17g"
     body = "\n".join([row % tuple(c) for c in grid.center_points().tolist()]) + "\n"
     values = np.empty((grid.total_cells, 2))
-    indices = list(range(0, len(trace.times), every))
-    if indices[-1] != len(trace.times) - 1:
-        indices.append(len(trace.times) - 1)
-    for snap_no, i in enumerate(indices):
+    for snap_no, i in enumerate(_snapshot_indices(len(trace.times), every)):
         values[:, 0] = trace.u.values[i].ravel()
         values[:, 1] = trace.w.values[i].ravel()
         name = os.path.join(directory, f"snapshot_{snap_no:04d}.csv")

@@ -93,11 +93,11 @@ def test_bounds_all_pass(zero_file, tmp_path):
     assert payload["all_passed"] is True
 
 
-def test_lipschitz_zero_delta(scenario_file, tmp_path):
+@pytest.mark.parametrize("command", ["lipschitz", "controls"])
+def test_zero_delta(command, scenario_file, tmp_path):
     out = str(tmp_path / "out")
-    assert main(["lipschitz", "--scenario", scenario_file, "--out", out,
-                 "--delta", "0"]) == 0
-    payload = json.load(open(os.path.join(out, "lipschitz.json")))
+    assert main([command, "--scenario", scenario_file, "--out", out, "--delta", "0"]) == 0
+    payload = json.load(open(os.path.join(out, command + ".json")))
     assert payload["max_lhs"] < 1e-10
 
 
@@ -178,6 +178,28 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
+
+
+def test_perturbation_outputs_match_golden_hashes(tmp_path):
+    # tests/data/perturbation_outputs.sha256 holds the sha256 of the
+    # lipschitz.json and controls.json that the shipped scenario gives at
+    # --delta 1e-2; like the run artifacts, these bytes survive refactors
+    import hashlib
+
+    manifest = os.path.join(os.path.dirname(__file__), "data", "perturbation_outputs.sha256")
+    for line in open(manifest, encoding="ascii"):
+        digest, name = line.split()
+        command = name.removesuffix(".json")
+        assert main([command, "--scenario", SHIPPED, "--out", str(tmp_path),
+                     "--delta", "1e-2"]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_run_shipped_scenario_passes_every_check(tmp_path):
+    assert main(["run", "--scenario", SHIPPED, "--out", str(tmp_path)]) == 0
+    checks = json.load(open(tmp_path / "bounds.json"))["checks"]
+    assert len(checks) == 10
+    assert all(check["passed"] for check in checks), [c["name"] for c in checks]
 
 
 @pytest.mark.parametrize("old,new,key", [

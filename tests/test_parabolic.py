@@ -12,7 +12,7 @@ from predprey.grid import DomainSpec, Field, build_grid, full, norm_linf, zeros
 from predprey.parabolic import (NonPositiveTime, ParabolicProblem, Requires1D, Scheme,
                                 StiffReaction, _block_size, _dirichlet_laplacian_1d,
                                 _solve_axis, _tridiagonal, check_parabolic_bounds,
-                                default_time_step, duhamel_reference, green_interval,
+                                duhamel_reference, green_interval,
                                 heat_kernel, march_imex, parabolic_stability_experiment,
                                 solve_parabolic, step_parabolic, weak_residual_parabolic)
 from predprey.series import constant
@@ -352,12 +352,6 @@ class TestSolve:
         trace = solve_parabolic(prob, 0.2, Scheme("implicit_euler", 1e-3))
         bound = trace.l1[0] * np.exp(K * trace.times)
         assert np.all(trace.l1 <= bound * (1 + 1e-9))
-
-    def test_default_time_step(self):
-        g = grid1d(64)
-        dt = default_time_step(g, mu=0.1, b_max=4.0)
-        assert dt <= 1.0 / 8.0
-        assert dt <= 2 * g.dx[0] ** 2 / 0.1 + 1e-15
 
 
 class TestBounds:

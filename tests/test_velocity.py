@@ -1,23 +1,28 @@
 """Averaging kernel, renormalized convolution, and drift velocity tests."""
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predprey.velocity as velocity_module
 from predprey.grid import DomainSpec, Field, build_grid, full, zeros
 from predprey.velocity import (HorizonTooSmall, make_kernel,
                                modified_convolution, radial_profile, velocity,
                                verify_hypothesis_v)
 
-# the package exports the function `velocity` under the module's name
-velocity_module = importlib.import_module("predprey.velocity")
-
 
 def grid1d(n=64):
     return build_grid(DomainSpec(((0.0, 1.0),)), n)
+
+
+def test_package_root_does_not_shadow_the_velocity_module():
+    # the package re-exports functions by name; none may be named like a submodule
+    import predprey.velocity as V
+    from predprey import velocity as module
+
+    assert module is V
+    assert callable(V.drift_velocity)
 
 
 def quad_normalization(ell: float, dim: int) -> float:
