@@ -12,8 +12,8 @@ Subcommands::
 Exit code 0 on success; 1 on scenario errors, window collapse, non-finite
 evaluation, a step too large for the CFL or reaction limit (``time.dt``), a
 kernel horizon too small for the grid (``model.ell``), a solution that
-overflows, or a ``--seed``/``--resolutions`` value the loader would reject
-for its key, with the failing key path on stderr.
+overflows, a ``--seed``/``--resolutions`` value the loader would reject
+for its key, or a non-finite ``--delta``, with the failing key path on stderr.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .coupling import (Scenario, WindowCollapse, compute_bounds_report,
                        stability_in_controls_experiment)
 from .grid import NonFiniteField
 from .parabolic import StiffReaction
-from .scenario_io import (ScenarioError, check_seed, load_scenario, parse_resolutions,
-                          write_bounds_json, write_run_artifacts)
+from .scenario_io import (ScenarioError, check_delta, check_seed, load_scenario,
+                          parse_resolutions, write_bounds_json, write_run_artifacts)
 from .studies import hyperbolic_oracle_study, parabolic_duhamel_study
 from .transport import CflViolation
 from .velocity import HorizonTooSmall
@@ -84,8 +84,8 @@ def cmd_bounds(args) -> int:
 def _perturbation(args, name: str, experiment) -> int:
     """Write the response to a perturbation of size --delta, and of --delta/2
     when it is not 0; ``experiment(scenario, size, base)`` runs one size."""
+    delta = check_delta(args.delta)
     scenario, out_dir = _load(args)
-    delta = args.delta
     if delta == 0.0:
         rep = experiment(scenario, 0.0, None)
         payload = {"delta": 0.0, "max_lhs": float(max(rep.lhs))}

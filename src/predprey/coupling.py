@@ -63,10 +63,10 @@ from . import expressions as ex
 from . import parabolic, transport
 from .grid import (DomainSpec, Field, Grid, build_grid, interior_variations,
                    l1_norms, linf_norms, norm_l1, norm_linf, require_finite,
-                   total_variation, total_variations)
+                   total_variation)
 from .parabolic import Scheme
-from .series import (InequalityCheck, Trace, cumulative_left_riemann, grade, saturate,
-                     step_times)
+from .series import (InequalityCheck, Trace, cumulative_left_riemann, grade,
+                     integrated_norms, saturate, step_times)
 from .velocity import (Kernel, HypothesisVReport, drift_velocity, make_kernel,
                        verify_hypothesis_v)
 
@@ -367,14 +367,12 @@ def _contraction_data(scenario: Scenario, grid: Grid, times: np.ndarray) -> Cont
     a = sample_keyed(scenario.a, "coefficients.a", grid, times)
     b = sample_keyed(scenario.b, "coefficients.b", grid, times)
     u0f, w0f = scenario.initial_fields(grid)
+    int_b_l1, int_b_sup, int_b_tv = integrated_norms(b, times, grid)
+    int_a_l1, int_a_sup, int_a_tv = integrated_norms(a, times, grid)
     return ContractionData(
         times=times,
-        int_b_l1=cumulative_left_riemann(l1_norms(b, grid), times),
-        int_b_sup=cumulative_left_riemann(linf_norms(b, grid), times),
-        int_b_tv=cumulative_left_riemann(total_variations(b, grid), times),
-        int_a_l1=cumulative_left_riemann(l1_norms(a, grid), times),
-        int_a_sup=cumulative_left_riemann(linf_norms(a, grid), times),
-        int_a_tv=cumulative_left_riemann(total_variations(a, grid), times),
+        int_b_l1=int_b_l1, int_b_sup=int_b_sup, int_b_tv=int_b_tv,
+        int_a_l1=int_a_l1, int_a_sup=int_a_sup, int_a_tv=int_a_tv,
         u0_l1=norm_l1(u0f), u0_sup=norm_linf(u0f), u0_tv=total_variation(u0f),
         w0_l1=norm_l1(w0f), w0_sup=norm_linf(w0f), w0_tv=total_variation(w0f),
     )

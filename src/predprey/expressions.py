@@ -392,7 +392,7 @@ def sample_stack(expr: Expr, grid: Grid, times, u: np.ndarray | None = None,
         k, *cell = np.argwhere(~np.isfinite(values))[0].tolist()
         raise NonFiniteValue(
             f"expression '{to_source(expr)}' evaluated to a non-finite value "
-            f"at t={times[k]!r} -> cell index {tuple(cell)}"
+            f"at t={float(times[k])!r} -> cell index {tuple(cell)}"
         )
     return values
 

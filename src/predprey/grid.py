@@ -41,10 +41,6 @@ class DomainSpec:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.bounds]))
-
 
 @dataclass(frozen=True)
 class Grid:

@@ -26,10 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Field, Grid, l1_norms, linf_norms, norm_l1, norm_linf, require_finite,
-                   total_variation, total_variations)
-from .series import (InequalityCheck, Series, Trace, cumulative_left_riemann, grade,
-                     sampled, stack_or_zeros, step_times)
+from .calibration import TV_CONST_PARABOLIC
+from .grid import Field, Grid, l1_norms, linf_norms, require_finite, total_variations
+from .series import (InequalityCheck, Series, Trace, at_times, cumulative_left_riemann,
+                     difference, grade, integrated_norms, sampled, step_times)
 from .testfunctions import SineTestFunction
 
 
@@ -68,10 +68,6 @@ class Scheme:
             raise ValueError(f"unknown scheme {self.kind!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-
-    @property
-    def theta(self) -> float:
-        return 1.0 if self.kind == "implicit_euler" else 0.5
 
 
 def heat_kernel(mu: float, t: float, x) -> float:
@@ -387,78 +383,73 @@ def solve_parabolic(problem: ParabolicProblem, T: float, scheme: Scheme,
     t_coeff = coefficient_times(times, scheme.kind)
     states = march_imex(
         problem.w0.values,
-        problem.B(t_coeff) if problem.B is not None else None,
-        problem.b(t_coeff) if problem.b is not None else None,
+        at_times(problem.B, t_coeff), at_times(problem.b, t_coeff),
         step_sizes(times, scheme.dt), problem.mu, scheme.kind, problem.grid,
     )
     return Trace(problem.grid, times, states)
 
 
-def check_parabolic_bounds(trace: Trace, problem: ParabolicProblem,
-                           tv_constant: float | None = None
-                           ) -> tuple[InequalityCheck, InequalityCheck, InequalityCheck]:
-    """Evaluate the L1 / sup / TV a-priori bounds against the measured trace.
+class ParabolicRhs(NamedTuple):
+    """The data side of the diffusion estimates, one value per time."""
+
+    l1: np.ndarray      # L1 bound
+    linf: np.ndarray    # sup bound
+    tv: np.ndarray      # TV bound
+    growth: np.ndarray  # exp(int |B|_sup)
+
+
+def parabolic_rhs(times: np.ndarray, grid: Grid, w0: np.ndarray, B: np.ndarray | None,
+                  b: np.ndarray | None) -> ParabolicRhs:
+    """The L1 / sup / TV a-priori bounds of the solution from the datum
+    ``w0`` and the coefficient stacks at ``times`` (``B``, ``b`` None for 0).
 
     The TV bound's unquantified O(1) factor is replaced by the frozen
-    calibration constant (see calibration module); violations are reported,
-    never raised.
+    calibration constant (see calibration module).
     """
-    from .calibration import TV_CONST_PARABOLIC
+    B_sup = np.zeros(len(times)) if B is None else linf_norms(B, grid)
+    int_b_l1, int_b_sup, int_b_tv = integrated_norms(b, times, grid)
+    growth = np.exp(cumulative_left_riemann(B_sup, times))
+    w0_l1 = l1_norms(w0, grid)
+    l1 = (w0_l1 + int_b_l1) * growth
+    linf = (linf_norms(w0, grid) + int_b_sup) * growth
+    tv = (total_variations(w0, grid) + int_b_tv
+          + TV_CONST_PARABOLIC * np.sqrt(times - times[0]) * np.maximum.accumulate(B_sup)
+          * (w0_l1 + int_b_l1) * growth)
+    return ParabolicRhs(l1, linf, tv, growth)
 
-    if tv_constant is None:
-        tv_constant = TV_CONST_PARABOLIC
+
+def check_parabolic_bounds(trace: Trace, problem: ParabolicProblem
+                           ) -> tuple[InequalityCheck, InequalityCheck, InequalityCheck]:
+    """Evaluate the L1 / sup / TV a-priori bounds (``parabolic_rhs``) against
+    the measured trace; violations are reported, never raised."""
     times = trace.times
-    t0 = times[0]
-    grid = problem.grid
-    b = stack_or_zeros(problem.b, times, grid)
-    B_sup = linf_norms(stack_or_zeros(problem.B, times, grid), grid)
-    b_l1, b_sup, b_tv = l1_norms(b, grid), linf_norms(b, grid), total_variations(b, grid)
-    int_B = cumulative_left_riemann(B_sup, times)
-    int_b_l1 = cumulative_left_riemann(b_l1, times)
-    int_b_sup = cumulative_left_riemann(b_sup, times)
-    int_b_tv = cumulative_left_riemann(b_tv, times)
-    growth = np.exp(int_B)
-    w0_l1 = norm_l1(problem.w0)
-    w0_sup = norm_linf(problem.w0)
-    w0_tv = total_variation(problem.w0)
-    rhs_l1 = (w0_l1 + int_b_l1) * growth
-    rhs_sup = (w0_sup + int_b_sup) * growth
-    elapsed = times - t0
-    B_window = np.maximum.accumulate(B_sup)
-    rhs_tv = (w0_tv + int_b_tv
-              + tv_constant * np.sqrt(elapsed) * B_window * (w0_l1 + int_b_l1) * growth)
-    return (grade("w_l1_vs_data", times, trace.l1, rhs_l1),
-            grade("w_linf_vs_data", times, trace.linf, rhs_sup),
-            grade("w_tv_vs_data", times, trace.tv, rhs_tv))
+    rhs = parabolic_rhs(times, problem.grid, trace.values[0], at_times(problem.B, times),
+                        at_times(problem.b, times))
+    return (grade("w_l1_vs_data", times, trace.l1, rhs.l1),
+            grade("w_linf_vs_data", times, trace.linf, rhs.linf),
+            grade("w_tv_vs_data", times, trace.tv, rhs.tv))
 
 
 def parabolic_stability_experiment(problem1: ParabolicProblem, problem2: ParabolicProblem,
                                    T: float, scheme: Scheme) -> InequalityCheck:
     """Measured distance of two solutions against the explicit stability bound.
 
-    RHS = (|w01-w02|_L1 + |b1-b2|_L1) exp(int |B1|)
-        + |B1-B2|_L1 (|w02|_sup + int |b2|_sup) exp(int |B1| + |B2|).
+    RHS = (|w01-w02|_L1 + int |b1-b2|_L1) exp(int |B1|)
+        + int |B1-B2|_L1 (|w02|_sup + int |b2|_sup) exp(int |B2|) exp(int |B1|),
+    the L1 bound of the difference (datum w01-w02, reaction B1, source b1-b2)
+    plus int |B1-B2|_L1 times problem 2's sup bound and the difference's
+    growth, all from ``parabolic_rhs``.
     """
     tr1 = solve_parabolic(problem1, T, scheme)
     tr2 = solve_parabolic(problem2, T, scheme)
-    times = tr1.times
-    grid = problem1.grid
-    lhs = l1_norms(tr1.values - tr2.values, grid)
-    B1 = stack_or_zeros(problem1.B, times, grid)
-    B2 = stack_or_zeros(problem2.B, times, grid)
-    b1 = stack_or_zeros(problem1.b, times, grid)
-    b2 = stack_or_zeros(problem2.b, times, grid)
-    B1_sup, B2_sup = linf_norms(B1, grid), linf_norms(B2, grid)
-    int_B1 = cumulative_left_riemann(B1_sup, times)
-    int_B12 = cumulative_left_riemann(B1_sup + B2_sup, times)
-    int_dB = cumulative_left_riemann(l1_norms(B1 - B2, grid), times)
-    int_db = cumulative_left_riemann(l1_norms(b1 - b2, grid), times)
-    int_b2_sup = cumulative_left_riemann(linf_norms(b2, grid), times)
-    dw0 = norm_l1(Field(grid, problem1.w0.values - problem2.w0.values))
-    w02_sup = norm_linf(problem2.w0)
-    rhs = ((dw0 + int_db) * np.exp(int_B1)
-           + int_dB * (w02_sup + int_b2_sup) * np.exp(int_B12))
-    return grade("w_stability", times, lhs, rhs)
+    times, grid = tr1.times, problem1.grid
+    B1, b1 = at_times(problem1.B, times), at_times(problem1.b, times)
+    B2, b2 = at_times(problem2.B, times), at_times(problem2.b, times)
+    gap = parabolic_rhs(times, grid, tr1.values[0] - tr2.values[0], B1, difference(b1, b2))
+    rhs2 = parabolic_rhs(times, grid, tr2.values[0], B2, b2)
+    int_dB = integrated_norms(difference(B1, B2), times, grid)[0]
+    return grade("w_stability", times, l1_norms(tr1.values - tr2.values, grid),
+                 gap.l1 + int_dB * rhs2.linf * gap.growth)
 
 
 def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
@@ -474,8 +465,8 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
     grid = problem.grid
     vol = grid.cell_volume
     times = trace.times
-    B = None if problem.B is None else problem.B(times)
-    b = None if problem.b is None else problem.b(times)
+    B = at_times(problem.B, times)
+    b = at_times(problem.b, times)
     residuals = []
     for tf in test_functions:
         s_vals = tf.space_values(grid)

@@ -117,6 +117,13 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_delta(delta: float) -> float:
+    """A perturbation size (``--delta``): a finite number."""
+    if not math.isfinite(delta):
+        raise ValidationError("--delta", f"not a finite number: {delta}")
+    return delta
+
+
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case

@@ -64,11 +64,16 @@ def sampled(times: np.ndarray, values: np.ndarray) -> Series:
     return at
 
 
-def stack_or_zeros(series: Series | None, times: np.ndarray, grid: Grid) -> np.ndarray:
-    """A scalar series at ``times``; zeros for the ``None`` series."""
-    if series is None:
-        return np.zeros((len(times),) + grid.shape)
-    return series(times)
+def at_times(series: Series | None, times: np.ndarray) -> np.ndarray | None:
+    """A series at ``times``; None (for 0) for the ``None`` series."""
+    return None if series is None else series(times)
+
+
+def difference(x: np.ndarray | None, y: np.ndarray | None) -> np.ndarray | None:
+    """x - y for stacks where None means 0."""
+    if y is None:
+        return x
+    return -y if x is None else x - y
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,21 @@ def cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray
     dt = np.diff(times)
     out[1:] = np.cumsum(values[:-1] * dt)
     return out
+
+
+def integrated_norms(stack: np.ndarray | None, times: np.ndarray,
+                     grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-Riemann integrals up to each of ``times`` of the L1, sup and TV
+    norms of a scalar stack (one field per time); zeros for ``None``.
+
+    The stack is reduced as given, so one that repeats a row (a constant
+    series) is reduced on that row alone.
+    """
+    if stack is None:
+        return np.zeros(len(times)), np.zeros(len(times)), np.zeros(len(times))
+    return (cumulative_left_riemann(l1_norms(stack, grid), times),
+            cumulative_left_riemann(linf_norms(stack, grid), times),
+            cumulative_left_riemann(total_variations(stack, grid), times))
 
 
 @dataclass(frozen=True)

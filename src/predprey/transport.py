@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .calibration import TV_CONST_HYPERBOLIC
 from .grid import (Field, Grid, VectorField, divergences, gradient_components,
-                   interp_field, interp_values, l1_norms, linf_norms, norm_l1,
-                   norm_linf, require_finite, total_variation, total_variations)
-from .series import (InequalityCheck, Series, Trace, cumulative_left_riemann, grade,
-                     stack_or_zeros, step_times)
+                   interp_field, interp_values, l1_norms, linf_norms, require_finite,
+                   total_variations)
+from .series import (InequalityCheck, Series, Trace, at_times, cumulative_left_riemann,
+                     difference, grade, integrated_norms, step_times)
 from .testfunctions import SineTestFunction
 
 
@@ -191,7 +193,7 @@ def exponential_weight(path: CharPath, problem: TransportProblem, tau: float,
     )
     grid = problem.grid
     div = divergence_series(problem.c, grid)(nodes)
-    A = None if problem.A is None else problem.A(nodes)
+    A = at_times(problem.A, nodes)
     g = np.empty(len(nodes))
     for i in range(len(nodes)):
         val = -interp_values(grid, div[i], pts[i][None, :])[0]
@@ -222,8 +224,8 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     m = pts.shape[0]
     div_series = divergence_series(problem.c, grid)
     div = div_series(s)
-    A = None if problem.A is None else problem.A(s)
-    a = None if problem.a is None else problem.a(s)
+    A = at_times(problem.A, s)
+    a = at_times(problem.a, s)
     g = np.empty((len(s), m))
     a_vals = np.zeros((len(s), m)) if a is not None else None
     for i in range(len(s)):
@@ -380,8 +382,7 @@ def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
     left = coefficient_times(times)
     states = march_upwind(
         problem.u0.values, problem.c(left),
-        problem.A(left) if problem.A is not None else None,
-        problem.a(left) if problem.a is not None else None,
+        at_times(problem.A, left), at_times(problem.a, left),
         np.diff(times), problem.grid,
     )
     return Trace(problem.grid, times, states)
@@ -399,111 +400,94 @@ def _sup_jacobian(c: np.ndarray, grid: Grid) -> np.ndarray:
                    for g in gradient_components(c[:, k], grid)], axis=0)
 
 
-def check_hyperbolic_bounds(trace: Trace, problem: TransportProblem,
-                            tv_constant: float | None = None
-                            ) -> tuple[InequalityCheck, InequalityCheck, InequalityCheck]:
-    """Measured L1 / sup / TV norms against the data-side estimates.
+class TransportRhs(NamedTuple):
+    """The data side of the transport estimates, one value per time."""
+
+    l1: np.ndarray        # L1 bound
+    linf: np.ndarray      # sup bound
+    tv: np.ndarray        # TV bound
+    data_sup: np.ndarray  # |u0|_sup + int |a|_sup
+
+
+def transport_rhs(times: np.ndarray, grid: Grid, u0: np.ndarray, c: np.ndarray,
+                  A: np.ndarray | None, a: np.ndarray | None) -> TransportRhs:
+    """The L1 / sup / TV bounds of the solution from the datum ``u0`` and the
+    coefficient stacks at ``times`` (``A``, ``a`` None for 0).
 
     All coefficient norms (including div c, D_x c, grad div c) come from
     discrete differentiation of the sampled velocity; time integrals use the
     left-endpoint rule matching the explicit stepping.
     """
-    from .calibration import TV_CONST_HYPERBOLIC
-
-    if tv_constant is None:
-        tv_constant = TV_CONST_HYPERBOLIC
-    times = trace.times
-    grid = problem.grid
-    A = stack_or_zeros(problem.A, times, grid)
-    a = stack_or_zeros(problem.a, times, grid)
-    c = problem.c(times)
-    A_sup, A_tv = linf_norms(A, grid), total_variations(A, grid)
-    a_l1, a_sup, a_tv = l1_norms(a, grid), linf_norms(a, grid), total_variations(a, grid)
+    zero = np.zeros(len(times))
+    A_sup, A_tv = (zero, zero) if A is None else (linf_norms(A, grid),
+                                                  total_variations(A, grid))
+    int_a_l1, int_a_sup, int_a_tv = integrated_norms(a, times, grid)
     div = divergences(c, grid)
-    div_sup = linf_norms(div, grid)
-    dxc_sup = _sup_jacobian(c, grid)
-    graddiv_l1 = _grad_div_l1(div, grid)
-    elapsed = times - times[0]
-    int_a_l1 = cumulative_left_riemann(a_l1, times)
-    int_a_sup = cumulative_left_riemann(a_sup, times)
-    int_a_tv = cumulative_left_riemann(a_tv, times)
     int_A_sup = cumulative_left_riemann(A_sup, times)
-    int_div = cumulative_left_riemann(div_sup, times)
-    int_dxc = cumulative_left_riemann(dxc_sup, times)
-    int_Atv_graddiv = cumulative_left_riemann(A_tv + graddiv_l1, times)
-    u0_l1, u0_sup, u0_tv = trace.l1[0], trace.linf[0], trace.tv[0]
-    rhs_l1 = (u0_l1 + int_a_l1) * np.exp(np.maximum.accumulate(A_sup) * elapsed)
-    rhs_linf = (u0_sup + int_a_sup) * np.exp(int_A_sup + int_div)
-    rhs_tv = np.exp(int_A_sup + int_dxc) * (
-        u0_tv + tv_constant * u0_sup + int_a_tv + (u0_sup + int_a_sup) * int_Atv_graddiv
+    u0_sup = linf_norms(u0, grid)
+    data_sup = u0_sup + int_a_sup
+    l1 = ((l1_norms(u0, grid) + int_a_l1)
+          * np.exp(np.maximum.accumulate(A_sup) * (times - times[0])))
+    linf = data_sup * np.exp(int_A_sup + cumulative_left_riemann(linf_norms(div, grid), times))
+    tv = np.exp(int_A_sup + cumulative_left_riemann(_sup_jacobian(c, grid), times)) * (
+        total_variations(u0, grid) + TV_CONST_HYPERBOLIC * u0_sup + int_a_tv
+        + data_sup * cumulative_left_riemann(A_tv + _grad_div_l1(div, grid), times)
     )
-    return (grade("u_l1_vs_data", times, trace.l1, rhs_l1),
-            grade("u_linf_vs_data", times, trace.linf, rhs_linf),
-            grade("u_tv_vs_data", times, trace.tv, rhs_tv))
+    return TransportRhs(l1, linf, tv, data_sup)
+
+
+def _problem_rhs(problem: TransportProblem, trace: Trace) -> TransportRhs:
+    """transport_rhs of a problem at the times of its trace."""
+    times = trace.times
+    return transport_rhs(times, problem.grid, trace.values[0], problem.c(times),
+                         at_times(problem.A, times), at_times(problem.a, times))
+
+
+def check_hyperbolic_bounds(trace: Trace, problem: TransportProblem
+                            ) -> tuple[InequalityCheck, InequalityCheck, InequalityCheck]:
+    """Measured L1 / sup / TV norms against the data-side estimates
+    (``transport_rhs``)."""
+    rhs = _problem_rhs(problem, trace)
+    return (grade("u_l1_vs_data", trace.times, trace.l1, rhs.l1),
+            grade("u_linf_vs_data", trace.times, trace.linf, rhs.linf),
+            grade("u_tv_vs_data", trace.times, trace.tv, rhs.tv))
 
 
 def stability_in_A(problem1: TransportProblem, problem2: TransportProblem,
                    T: float, dt: float) -> InequalityCheck:
-    """Distance of two solves differing only in the reaction coefficient."""
+    """Distance of two solves differing only in the reaction coefficient.
+
+    RHS = exp(t max(|A1|_sup, |A2|_sup)) (|u0|_sup + int |a|_sup) int |A2 - A1|_L1.
+    """
     tr1 = solve_hyperbolic(problem1, T, dt)
     tr2 = solve_hyperbolic(problem2, T, dt)
-    times = tr1.times
-    grid = problem1.grid
-    lhs = l1_norms(tr1.values - tr2.values, grid)
-    A1 = stack_or_zeros(problem1.A, times, grid)
-    A2 = stack_or_zeros(problem2.A, times, grid)
-    dA = l1_norms(A2 - A1, grid)
-    a_sup = linf_norms(stack_or_zeros(problem1.a, times, grid), grid)
-    elapsed = times - times[0]
-    worst_rate = np.maximum(np.maximum.accumulate(linf_norms(A1, grid)),
-                            np.maximum.accumulate(linf_norms(A2, grid)))
-    rhs = (np.exp(elapsed * worst_rate)
-           * (norm_linf(problem1.u0) + cumulative_left_riemann(a_sup, times))
-           * cumulative_left_riemann(dA, times))
-    return grade("u_stability_in_A", times, lhs, rhs)
+    times, grid = tr1.times, problem1.grid
+    A1, A2 = at_times(problem1.A, times), at_times(problem2.A, times)
+    sups = [np.maximum.accumulate(linf_norms(A, grid)) for A in (A1, A2) if A is not None]
+    worst = np.max([np.zeros(len(times)), *sups], axis=0)
+    data_sup = transport_rhs(times, grid, tr1.values[0], problem1.c(times), A1,
+                             at_times(problem1.a, times)).data_sup
+    rhs = (np.exp((times - times[0]) * worst) * data_sup
+           * integrated_norms(difference(A2, A1), times, grid)[0])
+    return grade("u_stability_in_A", times, l1_norms(tr1.values - tr2.values, grid), rhs)
 
 
 def stability_in_c(problem1: TransportProblem, problem2: TransportProblem,
-                   T: float, dt: float,
-                   tv_constant: float | None = None) -> InequalityCheck:
+                   T: float, dt: float) -> InequalityCheck:
     """Distance of two solves differing only in the velocity field.
 
-    RHS is the two-term expression: data-norm times the integrated sup of
-    div(c2 - c1), plus the integrated sup of c2 - c1 times the variation
-    bracket of the first problem.
+    RHS = rhs_l1 int |div(c2 - c1)|_sup + int |c2 - c1|_sup rhs_tv, with the
+    L1 and TV bounds of the first problem (``transport_rhs``).
     """
-    from .calibration import TV_CONST_HYPERBOLIC
-
-    if tv_constant is None:
-        tv_constant = TV_CONST_HYPERBOLIC
     tr1 = solve_hyperbolic(problem1, T, dt)
     tr2 = solve_hyperbolic(problem2, T, dt)
-    times = tr1.times
-    grid = problem1.grid
-    lhs = l1_norms(tr1.values - tr2.values, grid)
-    A = stack_or_zeros(problem1.A, times, grid)
-    a = stack_or_zeros(problem1.a, times, grid)
-    A_sup, A_tv = linf_norms(A, grid), total_variations(A, grid)
-    a_l1, a_sup, a_tv = l1_norms(a, grid), linf_norms(a, grid), total_variations(a, grid)
-    c1 = problem1.c(times)
-    dc = problem2.c(times) - c1
-    dc_sup = linf_norms(np.sqrt(np.sum(dc**2, axis=1)), grid)
-    ddiv_sup = linf_norms(divergences(dc, grid), grid)
-    dxc1_sup = _sup_jacobian(c1, grid)
-    graddiv1_l1 = _grad_div_l1(divergences(c1, grid), grid)
-    elapsed = times - times[0]
-    u0_l1, u0_sup, u0_tv = norm_l1(problem1.u0), norm_linf(problem1.u0), total_variation(problem1.u0)
-    int_a_l1 = cumulative_left_riemann(a_l1, times)
-    int_a_sup = cumulative_left_riemann(a_sup, times)
-    term1 = ((u0_l1 + int_a_l1) * np.exp(np.maximum.accumulate(A_sup) * elapsed)
-             * cumulative_left_riemann(ddiv_sup, times))
-    bracket = (u0_tv + tv_constant * u0_sup + cumulative_left_riemann(a_tv, times)
-               + (u0_sup + int_a_sup) * cumulative_left_riemann(A_tv + graddiv1_l1, times))
-    term2 = (cumulative_left_riemann(dc_sup, times)
-             * np.exp(cumulative_left_riemann(A_sup, times)
-                      + cumulative_left_riemann(dxc1_sup, times))
-             * bracket)
-    return grade("u_stability_in_c", times, lhs, term1 + term2)
+    times, grid = tr1.times, problem1.grid
+    rhs = _problem_rhs(problem1, tr1)
+    dc = problem2.c(times) - problem1.c(times)
+    int_ddiv = cumulative_left_riemann(linf_norms(divergences(dc, grid), grid), times)
+    int_dc = cumulative_left_riemann(linf_norms(np.sqrt(np.sum(dc**2, axis=1)), grid), times)
+    return grade("u_stability_in_c", times, l1_norms(tr1.values - tr2.values, grid),
+                 rhs.l1 * int_ddiv + int_dc * rhs.tv)
 
 
 @dataclass(frozen=True)
@@ -533,8 +517,8 @@ def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
     vol = grid.cell_volume
     times = trace.times
     c = problem.c(times)
-    A = None if problem.A is None else problem.A(times)
-    a = None if problem.a is None else problem.a(times)
+    A = at_times(problem.A, times)
+    a = at_times(problem.a, times)
     residuals = []
     for tf in test_functions:
         s_vals = tf.space_values(grid)

@@ -236,7 +236,13 @@ def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
     (["convergence", "--resolutions", "2,64"], "[--resolutions]"),
     (["oracle-compare", "--resolutions", "abc"], "[--resolutions]"),
     (["oracle-compare", "--resolutions", "64,64"], "[--resolutions]"),
-], ids=["negative_seed", "too_few_cells", "not_an_integer", "one_resolution"])
+    (["lipschitz", "--delta", "nan"], "[--delta]"),
+    (["lipschitz", "--delta", "inf"], "[--delta]"),
+    (["controls", "--delta", "nan"], "[--delta]"),
+    (["controls", "--delta=-inf"], "[--delta]"),
+], ids=["negative_seed", "too_few_cells", "not_an_integer", "one_resolution",
+        "lipschitz_nan_delta", "lipschitz_inf_delta", "controls_nan_delta",
+        "controls_inf_delta"])
 def test_flag_exit_code(argv, key, tmp_path, capsys):
     # command-line overrides obey the loader's rules for the keys they stand for
     assert main([*argv, "--scenario", SHIPPED, "--out", str(tmp_path / "o")]) == 1

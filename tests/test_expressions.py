@@ -126,6 +126,16 @@ def test_sample_field_nonfinite_reports_cell():
     assert "cell" in str(err.value)
 
 
+def test_sample_stack_nonfinite_message_prints_plain_time():
+    # the first offending time prints as a float, not as a numpy scalar repr
+    g = build_grid(DomainSpec(((0.0, 1.0),)), 8)
+    tree = ex.parse("1/(t-0.25) + 1/(x-0.3125)", ex.Slot.SOURCE_A)
+    with pytest.raises(ex.NonFiniteValue) as err:
+        ex.sample_stack(tree, g, np.array([0.0, 0.25]))
+    assert str(err.value) == (f"expression '{ex.to_source(tree)}' evaluated to a "
+                              f"non-finite value at t=0.0 -> cell index (2,)")
+
+
 def _random_identifier(rng):
     letters = "abcdefghijklmnopqrstuvwxyz"
     name = "".join(rng.choice(list(letters)) for _ in range(rng.integers(1, 6)))
