@@ -55,6 +55,7 @@ check of the library shares.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,6 +80,14 @@ class NoContraction(RuntimeError):
 
 class WindowCollapse(RuntimeError):
     """Window halving went below 4 time steps; scenario too stiff."""
+
+
+class ScenarioRuleError(ValueError):
+    """A broken Scenario rule, with the scenario key (``section.key``) that sets it."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -110,16 +119,24 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ValueError("horizon and dt must be positive")
+        if self.horizon <= 0:
+            raise ScenarioRuleError("time.T", f"horizon must be positive, got {self.horizon!r}")
+        if self.dt <= 0:
+            raise ScenarioRuleError("time.dt", f"step must be positive, got {self.dt!r}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ScenarioRuleError("time.dt", f"step {self.dt!r} is too small for T = "
+                                               f"{self.horizon!r}")
         steps = round(self.horizon / self.dt)
         if steps < 1 or abs(steps * self.dt - self.horizon) > 1e-9 * self.horizon:
-            raise ValueError("dt must divide the horizon T (window chaining "
-                             "requires uniform steps)")
-        if self.k_alpha <= 0 or self.k_beta <= 0:
-            raise ValueError("declared Lipschitz constants must be positive")
+            raise ScenarioRuleError("time.dt", f"step {self.dt!r} must divide T = "
+                                               f"{self.horizon!r} (window chaining "
+                                               "requires uniform steps)")
+        for key, value in (("model.K_alpha", self.k_alpha), ("model.K_beta", self.k_beta)):
+            if value <= 0:
+                raise ScenarioRuleError(key, f"Lipschitz bound must be positive, got {value!r}")
         if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+            raise ScenarioRuleError("time.snapshot_every",
+                                    f"must be at least 1, got {self.snapshot_every}")
 
     def grid(self) -> Grid:
         return build_grid(self.domain, self.n_cells)

@@ -242,32 +242,28 @@ def interior_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
 def interp_values(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of cell-centered values at arbitrary points.
 
-    ``points`` has shape (m, dim).  Beyond the outermost cell centers the
-    interpolation clamps to the nearest center (constant extension), which
-    keeps the interpolant defined on all of closure(Omega) and slightly
-    beyond, as needed by the characteristic tracer near exits.
+    ``points`` has shape (m, dim) for one field, or (n, m, dim) for a stack
+    of n fields, row k of the points taken in field k.  Beyond the outermost
+    cell centers the interpolation clamps to the nearest center (constant
+    extension), which keeps the interpolant defined on all of closure(Omega)
+    and slightly beyond, as needed by the characteristic tracer near exits.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx0 = []
-    frac = []
+    rows = () if values.ndim == grid.dim else (np.arange(len(values)).reshape(-1, 1),)
+    cells, fracs = [], []
     for ax in range(grid.dim):
-        lo = grid.spec.bounds[ax][0]
-        h = grid.dx[ax]
-        n = grid.n_cells[ax]
-        pos = (pts[:, ax] - lo) / h - 0.5
-        i0 = np.clip(np.floor(pos), 0, n - 2).astype(int)
-        fr = np.clip(pos - i0, 0.0, 1.0)
-        idx0.append(i0)
-        frac.append(fr)
+        pos = (pts[..., ax] - grid.spec.bounds[ax][0]) / grid.dx[ax] - 0.5
+        i0 = np.clip(np.floor(pos), 0, grid.n_cells[ax] - 2).astype(int)
+        cells.append(i0)
+        fracs.append(np.clip(pos - i0, 0.0, 1.0))
     if grid.dim == 1:
-        i0, fr = idx0[0], frac[0]
-        return (1 - fr) * values[i0] + fr * values[i0 + 1]
-    i0, j0 = idx0
-    fx, fy = frac
-    v00 = values[i0, j0]
-    v10 = values[i0 + 1, j0]
-    v01 = values[i0, j0 + 1]
-    v11 = values[i0 + 1, j0 + 1]
+        (i0,), (fr,) = cells, fracs
+        return (1 - fr) * values[rows + (i0,)] + fr * values[rows + (i0 + 1,)]
+    (i0, j0), (fx, fy) = cells, fracs
+    v00 = values[rows + (i0, j0)]
+    v10 = values[rows + (i0 + 1, j0)]
+    v01 = values[rows + (i0, j0 + 1)]
+    v11 = values[rows + (i0 + 1, j0 + 1)]
     return ((1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10
             + (1 - fx) * fy * v01 + fx * fy * v11)
 

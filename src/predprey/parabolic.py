@@ -29,8 +29,9 @@ import numpy as np
 from .calibration import TV_CONST_PARABOLIC
 from .grid import Field, Grid, l1_norms, linf_norms, require_finite, total_variations
 from .series import (InequalityCheck, Series, Trace, at_times, cumulative_left_riemann,
-                     difference, grade, integrated_norms, sampled, step_times)
-from .testfunctions import SineTestFunction
+                     cumulative_simpson, difference, grade, integrated_norms, sampled,
+                     step_times)
+from .testfunctions import SineTestFunction, weak_residuals
 
 
 class NonPositiveTime(ValueError):
@@ -117,11 +118,10 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
     """Quadrature of the Green-function representation, 1D, B = 0 only.
 
     w(t,x) = int G(t,0,x,y) w0(y) dy + int_0^t int G(t,tau,x,y) b(tau,y) dy dtau,
-    with midpoint quadrature in y (the grid cells) and composite Simpson in tau.
+    with midpoint quadrature in y (the grid cells) and composite Simpson in tau
+    on ``n_time`` intervals of any count (``series.cumulative_simpson``).
     Fully independent of the time stepper; serves as its accuracy oracle.
     """
-    from scipy import integrate
-
     if problem.grid.dim != 1:
         raise Requires1D("the Green-function oracle is implemented on intervals only")
     if problem.B is not None:
@@ -136,8 +136,6 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
     w0_hat = (2.0 / length) * (s.T @ problem.w0.values) * vol
     out = s @ (decay * w0_hat)
     if problem.b is not None and t > 0:
-        if n_time % 2 == 1:
-            n_time += 1
         taus = np.linspace(0.0, t, n_time + 1)
         # contiguous rows: a constant source comes as a broadcast view, and
         # the matrix product sums a stride-0 row in another order
@@ -146,7 +144,7 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
              for b_tau in problem.b(taus)]
         )  # (n_time+1, n_terms)
         kernel = np.exp(-problem.mu * freq[None, :] ** 2 * (t - taus)[:, None])
-        mode_integrals = integrate.simpson(kernel * b_hat, x=taus, axis=0)
+        mode_integrals = cumulative_simpson(kernel * b_hat, taus)[-1]
         out = out + s @ mode_integrals
     return Field(grid, out)
 
@@ -456,35 +454,11 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
                             test_functions: list[SineTestFunction]) -> np.ndarray:
     """Space-time quadrature of the weak form against each test function.
 
-    residual = int int (w dphi/dt + mu w Lap phi + (B w + b) phi) + int w0 phi(0);
-    the exact weak solution gives 0, so the value measures solver plus
-    quadrature error and must shrink under refinement.
+    residual = int int (w dphi/dt + mu w Lap phi + (B w + b) phi) + int w0 phi(0)
+    (``weak_residuals``); the exact weak solution gives 0, so the value
+    measures solver plus quadrature error and must shrink under refinement.
     """
-    from scipy import integrate
-
-    grid = problem.grid
-    vol = grid.cell_volume
-    times = trace.times
-    B = at_times(problem.B, times)
-    b = at_times(problem.b, times)
-    residuals = []
-    for tf in test_functions:
-        s_vals = tf.space_values(grid)
-        s_lap = tf.space_laplacian(grid)
-        integrand = np.empty(len(times))
-        for i, t in enumerate(times):
-            w = trace.values[i]
-            qt = float(tf.time_value(t))
-            qdot = float(tf.time_derivative(t))
-            term = qdot * np.sum(w * s_vals) + qt * problem.mu * np.sum(w * s_lap)
-            react = np.zeros(grid.shape)
-            if B is not None:
-                react = react + B[i] * w
-            if b is not None:
-                react = react + b[i]
-            term += qt * np.sum(react * s_vals)
-            integrand[i] = term * vol
-        space_time = integrate.simpson(integrand, x=times)
-        initial = float(tf.time_value(times[0])) * np.sum(problem.w0.values * s_vals) * vol
-        residuals.append(space_time + initial)
-    return np.array(residuals)
+    lap = np.stack([tf.space_laplacian(problem.grid) for tf in test_functions])
+    return weak_residuals(trace, problem.w0.values, test_functions,
+                          [(trace.values, problem.mu * lap)],
+                          at_times(problem.B, trace.times), at_times(problem.b, trace.times))

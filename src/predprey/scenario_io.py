@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .coupling import BoundsReport, CoupledTrace, Scenario
+from .coupling import BoundsReport, CoupledTrace, Scenario, ScenarioRuleError
 from .grid import DomainSpec, GridError
 
 SCENARIO_HEADER = "# predprey scenario v1"
@@ -201,8 +201,6 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     timing = parser["time"]
     horizon = _parse_float("time.T", timing["T"])
     dt = _parse_float("time.dt", timing["dt"])
-    if horizon > 0 and dt > 0 and not math.isfinite(horizon / dt):
-        raise ValidationError("time.dt", f"step {dt!r} is too small for T = {horizon!r}")
     schemes = parser["schemes"]
     scheme_kind = schemes["parabolic"].strip()
     if scheme_kind not in ("implicit_euler", "crank_nicolson"):
@@ -249,8 +247,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             formats=formats,
             seed=seed,
         )
-    except ValueError as exc:
-        raise ValidationError("scenario", str(exc)) from None
+    except ScenarioRuleError as exc:
+        raise ValidationError(exc.key, str(exc)) from None
 
 
 def _parse_expr(section: str, key: str, raw: str, dim: int) -> ex.Expr:

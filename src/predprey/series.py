@@ -140,6 +140,40 @@ def cumulative_left_riemann(values: np.ndarray, times: np.ndarray) -> np.ndarray
     return out
 
 
+def _first_intervals(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Integral over [x_j, x_{j+1}] of the quadratic through nodes j, j+1, j+2,
+    for every j along axis 0 (``steps`` are the node spacings)."""
+    h1, h2 = steps[:-1], steps[1:]
+    r1 = h1 / (h1 + h2)
+    r2 = r1 * (h1 / h2)
+    return h1 / 6 * ((3 - r1) * values[:-2] + (3 + r2 + r1) * values[1:-1] - r2 * values[2:])
+
+
+def cumulative_simpson(values: np.ndarray, times: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Composite Simpson integral of ``values`` over ``times`` (along ``axis``)
+    from times[0] up to each time; the last entry is the definite integral.
+
+    Intervals pair up as (0, 1), (2, 3), ... and each pair integrates the
+    quadratic through its three nodes, on any spacing.  With an even node
+    count the last interval takes the quadratic through the last three
+    nodes (Cartwright's rule); two nodes give the trapezoid.
+    """
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    steps = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (v.ndim - 1))
+    if len(v) < 3:
+        parts = 0.5 * steps * (v[:-1] + v[1:])
+    else:
+        parts = np.empty((len(v) - 1,) + v.shape[1:])
+        parts[:-1:2] = _first_intervals(v, steps)[::2]
+        # the second interval of each pair, from the reversed nodes
+        second = _first_intervals(v[::-1], steps[::-1])[::-1]
+        parts[1::2] = second[::2]
+        parts[-1] = second[-1]
+    out = np.zeros(v.shape)
+    np.cumsum(parts, axis=0, out=out[1:])
+    return np.moveaxis(out, 0, axis)
+
+
 def integrated_norms(stack: np.ndarray | None, times: np.ndarray,
                      grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-Riemann integrals up to each of ``times`` of the L1, sup and TV

@@ -3,7 +3,8 @@
 Products of sine modes in space (vanishing on the box boundary) and
 polynomials (1 - t/T)^p in time (vanishing at the final time).  Spatial
 derivatives are analytic, so the residuals measure only the solver and the
-space-time quadrature.
+space-time quadrature.  ``weak_residuals`` is the one quadrature of both
+equations' weak forms.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
+from .series import Trace, cumulative_simpson
 
 
 @dataclass(frozen=True)
@@ -69,3 +71,33 @@ def default_family(horizon: float, dim: int, count: int = 5) -> list[SineTestFun
     for modes, p in zip(mode_sets[:count], powers[:count]):
         fns.append(SineTestFunction(tuple(modes), p, horizon))
     return fns
+
+
+def weak_residuals(trace: Trace, datum: np.ndarray, test_functions: list[SineTestFunction],
+                   adjoint: list[tuple[np.ndarray, np.ndarray]], reaction: np.ndarray | None,
+                   source: np.ndarray | None) -> np.ndarray:
+    """int int (u q' phi + q sum_k S_k psi_k + q (R u + r) phi) + q(0) int datum phi
+    for each test function q(t) phi(x).
+
+    ``adjoint`` pairs each stack S_k (one field per trace time) with the
+    fields psi_k of all test functions, shape (len(test_functions),
+    *grid.shape); R, r are the ``reaction`` and ``source`` stacks (None for
+    0).  Grid sums are reductions over the grid axes, and the time integral
+    is one ``cumulative_simpson`` call.
+    """
+    grid, times, u = trace.grid, trace.times, trace.values
+    axes = list(range(1, u.ndim))
+
+    def pair(stack: np.ndarray, fields: np.ndarray) -> np.ndarray:
+        return np.tensordot(stack, fields, axes=(axes, axes))
+
+    phi = np.stack([tf.space_values(grid) for tf in test_functions])
+    q = np.stack([tf.time_value(times) for tf in test_functions], axis=1)
+    q_dot = np.stack([tf.time_derivative(times) for tf in test_functions], axis=1)
+    forcing = [(stack, phi) for stack in (None if reaction is None else reaction * u, source)
+               if stack is not None]
+    integrand = q_dot * pair(u, phi)
+    for stack, fields in adjoint + forcing:
+        integrand += q * pair(stack, fields)
+    initial = q[0] * pair(datum[None], phi)[0]
+    return (cumulative_simpson(integrand, times)[-1] + initial) * grid.cell_volume

@@ -31,8 +31,8 @@ from .grid import (Field, Grid, VectorField, divergences, gradient_components,
                    interp_field, interp_values, l1_norms, linf_norms, require_finite,
                    total_variations)
 from .series import (InequalityCheck, Series, Trace, at_times, cumulative_left_riemann,
-                     difference, grade, integrated_norms, step_times)
-from .testfunctions import SineTestFunction
+                     cumulative_simpson, difference, grade, integrated_norms, step_times)
+from .testfunctions import SineTestFunction, weak_residuals
 
 
 class CflViolation(ValueError):
@@ -170,37 +170,32 @@ def trace_characteristic(problem: TransportProblem, t_end: float, x_end,
     return CharPath(t_end, x_end, times, pts, False, None)
 
 
-def exponential_weight(path: CharPath, problem: TransportProblem, tau: float,
-                       t: float, n_nodes: int | None = None) -> float:
-    """exp of the Simpson quadrature of A - div c along the stored path."""
-    from scipy import integrate
+def _along_paths(problem: TransportProblem, times: np.ndarray, points: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """A - div c and the source a (None for 0) at ``points`` (n, m, dim), row
+    k of the points at times[k]; each of shape (n, m)."""
+    grid = problem.grid
+    g = -interp_values(grid, divergence_series(problem.c, grid)(times), points)
+    if problem.A is not None:
+        g += interp_values(grid, problem.A(times), points)
+    return g, None if problem.a is None else interp_values(grid, problem.a(times), points)
 
+
+def exponential_weight(path: CharPath, problem: TransportProblem, tau: float,
+                       t: float) -> float:
+    """exp of the Simpson quadrature of A - div c along the stored path, on at
+    least 16 and an even number of intervals, two per stored path step."""
     lo = float(path.times[0])
     if not (lo - 1e-9 <= tau <= t <= path.t_origin + 1e-9):
         raise ValueError(f"[{tau}, {t}] outside the path span [{lo}, {path.t_origin}]")
     if t - tau <= 0:
         return 1.0
-    if n_nodes is None:
-        span = max(1, int(math.ceil((t - tau) / max(path.times[-1] - path.times[0], 1e-300)
-                                    * (len(path.times) - 1))))
-        n_nodes = max(16, 2 * span)
-    if n_nodes % 2 == 1:
-        n_nodes += 1
-    nodes = np.linspace(tau, t, n_nodes + 1)
-    pts = np.stack(
-        [np.interp(nodes, path.times, path.points[:, ax]) for ax in range(path.points.shape[1])],
-        axis=-1,
-    )
-    grid = problem.grid
-    div = divergence_series(problem.c, grid)(nodes)
-    A = at_times(problem.A, nodes)
-    g = np.empty(len(nodes))
-    for i in range(len(nodes)):
-        val = -interp_values(grid, div[i], pts[i][None, :])[0]
-        if A is not None:
-            val += interp_values(grid, A[i], pts[i][None, :])[0]
-        g[i] = val
-    return float(np.exp(integrate.simpson(g, x=nodes)))
+    span = max(1, int(math.ceil((t - tau) / max(path.times[-1] - path.times[0], 1e-300)
+                                * (len(path.times) - 1))))
+    nodes = np.linspace(tau, t, max(16, 2 * span) + 1)
+    pts = np.stack([np.interp(nodes, path.times, x) for x in path.points.T], axis=-1)
+    g = _along_paths(problem, nodes, pts[:, None])[0][:, 0]
+    return float(np.exp(cumulative_simpson(g, nodes)[-1]))
 
 
 def characteristics_solution_at(problem: TransportProblem, t: float,
@@ -212,40 +207,21 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     through the boundary only accumulate the source after the entry time,
     realizing the zero-inflow condition exactly.
     """
-    from scipy import integrate
-
-    grid = problem.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if t <= 0:
         return interp_field(problem.u0, pts)
-    paths = _BackwardPaths(problem.c, grid, t, pts, dt_ode)
+    paths = _BackwardPaths(problem.c, problem.grid, t, pts, dt_ode)
     s = paths.times                       # ascending, (S+1,)
     X = paths.positions                   # (S+1, m, dim)
-    m = pts.shape[0]
-    div_series = divergence_series(problem.c, grid)
-    div = div_series(s)
-    A = at_times(problem.A, s)
-    a = at_times(problem.a, s)
-    g = np.empty((len(s), m))
-    a_vals = np.zeros((len(s), m)) if a is not None else None
-    for i in range(len(s)):
-        g[i] = -interp_values(grid, div[i], X[i])
-        if A is not None:
-            g[i] += interp_values(grid, A[i], X[i])
-        if a_vals is not None:
-            a_vals[i] = interp_values(grid, a[i], X[i])
-    cum_g = integrate.cumulative_simpson(g, x=s, axis=0, initial=0.0)
+    g, a_vals = _along_paths(problem, s, X)
+    cum_g = cumulative_simpson(g, s)
     weight = np.exp(cum_g[-1] - cum_g)    # E(s_i, t) per node and point
-    values = np.zeros(m)
+    cum_ae = None if a_vals is None else cumulative_simpson(a_vals * weight, s)
     interior = ~paths.exited
-    if np.any(interior):
-        u0_along = interp_field(problem.u0, X[0][interior])
-        values[interior] = u0_along * weight[0][interior]
-        if a_vals is not None:
-            cum_ae = integrate.cumulative_simpson(a_vals * weight, x=s, axis=0, initial=0.0)
-            values[interior] += cum_ae[-1][interior]
-    if np.any(paths.exited) and a_vals is not None:
-        cum_ae = integrate.cumulative_simpson(a_vals * weight, x=s, axis=0, initial=0.0)
+    values = np.zeros(pts.shape[0])
+    values[interior] = interp_field(problem.u0, X[0][interior]) * weight[0][interior]
+    if cum_ae is not None:
+        values[interior] += cum_ae[-1][interior]
         for idx in np.nonzero(paths.exited)[0]:
             tau_star = paths.exit_time[idx]
             k = int(np.searchsorted(s, tau_star, side="left"))
@@ -253,12 +229,8 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
             # partial segment [tau*, s_k]: trapezoid with the exact exit sample
             seg = s[k] - tau_star
             if seg > 1e-15:
-                x_star = X[0, idx][None, :]
-                at_star = np.array([tau_star])
-                g_star = -interp_values(grid, div_series(at_star)[0], x_star)[0]
-                if problem.A is not None:
-                    g_star += interp_values(grid, problem.A(at_star)[0], x_star)[0]
-                a_star = interp_values(grid, problem.a(at_star)[0], x_star)[0]
+                g_star, a_star = (v[0, 0] for v in
+                                  _along_paths(problem, np.array([tau_star]), X[:1, idx:idx + 1]))
                 w_star = weight[k, idx] * math.exp(0.5 * seg * (g_star + g[k, idx]))
                 tail += 0.5 * seg * (a_star * w_star + a_vals[k, idx] * weight[k, idx])
             values[idx] = tail
@@ -510,36 +482,11 @@ def time_lipschitz_check(trace: Trace) -> TimeLipschitzReport:
 
 def weak_residual_hyperbolic(trace: Trace, problem: TransportProblem,
                              test_functions: list[SineTestFunction]) -> np.ndarray:
-    """Quadrature of the transport weak form (with initial term) per test function."""
-    from scipy import integrate
-
-    grid = problem.grid
-    vol = grid.cell_volume
-    times = trace.times
+    """Quadrature of the transport weak form (with initial term) per test function:
+    ``weak_residuals`` with the adjoint term c u . grad phi and forcing A u + a."""
+    grid, times, u = problem.grid, trace.times, trace.values
     c = problem.c(times)
-    A = at_times(problem.A, times)
-    a = at_times(problem.a, times)
-    residuals = []
-    for tf in test_functions:
-        s_vals = tf.space_values(grid)
-        s_grad = tf.space_gradient(grid)
-        integrand = np.empty(len(times))
-        for i, t in enumerate(times):
-            u = trace.values[i]
-            qt = float(tf.time_value(t))
-            qdot = float(tf.time_derivative(t))
-            advect = np.zeros(grid.shape)
-            for ax in range(grid.dim):
-                advect += c[i, ax] * s_grad[ax]
-            term = qdot * np.sum(u * s_vals) + qt * np.sum(u * advect)
-            react = np.zeros(grid.shape)
-            if A is not None:
-                react = react + A[i] * u
-            if a is not None:
-                react = react + a[i]
-            term += qt * np.sum(react * s_vals)
-            integrand[i] = term * vol
-        space_time = integrate.simpson(integrand, x=times)
-        initial = float(tf.time_value(times[0])) * np.sum(trace.values[0] * s_vals) * vol
-        residuals.append(space_time + initial)
-    return np.array(residuals)
+    grad = np.stack([tf.space_gradient(grid) for tf in test_functions])
+    adjoint = [(c[:, ax] * u, grad[:, ax]) for ax in range(grid.dim)]
+    return weak_residuals(trace, u[0], test_functions, adjoint, at_times(problem.A, times),
+                          at_times(problem.a, times))

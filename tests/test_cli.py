@@ -216,9 +216,18 @@ def test_run_shipped_scenario_passes_every_check(tmp_path):
     ("picard_max_iter = 12", "picard_max_iter = 0", "[schemes.picard_max_iter]"),
     ("picard_tol = 1e-8", "picard_tol = nan", "[schemes.picard_tol]"),
     ("formats = csv,json", "formats = csv,json\nseed = -3", "[output.seed]"),
+    ("K_alpha = 1.0", "K_alpha = 0", "[model.K_alpha]"),
+    ("K_beta = 1.0", "K_beta = -1", "[model.K_beta]"),
+    ("snapshot_every = 5", "snapshot_every = 0", "[time.snapshot_every]"),
+    ("dt = 0.005", "dt = 0.3", "[time.dt]"),
+    ("dt = 0.005", "dt = 0", "[time.dt]"),
+    ("dt = 0.005", "dt = 1e-320", "[time.dt]"),
+    ("T = 0.5", "T = -1", "[time.T]"),
 ], ids=["cfl_violation", "horizon_too_small", "stiff_reaction", "nonfinite_field",
         "negative_kappa", "too_few_cells", "negative_mu", "nan_mu", "zero_mu",
-        "no_picard_iterations", "nan_picard_tol", "negative_seed"])
+        "no_picard_iterations", "nan_picard_tol", "negative_seed", "zero_K_alpha",
+        "negative_K_beta", "zero_snapshot_every", "dt_not_dividing_T", "zero_dt",
+        "dt_too_small_for_T", "negative_T"])
 def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
     # edits of the shipped scenario that stop the solve or are rejected at
     # load; each must exit 1 with one keyed line, not a traceback
@@ -260,7 +269,8 @@ scenario_path, out = sys.argv[1:]
 scenario = load_scenario(scenario_path)
 make_kernel(scenario.ell, scenario.grid())
 for command in (["run"], ["bounds"], ["lipschitz", "--delta", "1e-2"],
-                ["controls", "--delta", "1e-2"]):
+                ["controls", "--delta", "1e-2"], ["convergence", "--resolutions", "16,32"],
+                ["oracle-compare", "--resolutions", "16,32"]):
     assert cli.main([*command, "--scenario", scenario_path, "--out", out]) == 0, command
 assert "scipy.integrate" not in sys.modules
 assert "scipy.ndimage" not in sys.modules
@@ -269,11 +279,36 @@ assert not loaded, loaded
 """
 
 
+def test_package_does_not_import_scipy():
+    # numpy is the one runtime dependency: no module of the package imports
+    # scipy, which stays a test dependency (the tests' oracles)
+    import ast
+    import pathlib
+    tomllib = pytest.importorskip("tomllib")
+
+    root = pathlib.Path(__file__).parent.parent
+    modules = sorted((root / "src" / "predprey").glob("*.py"))
+    assert len(modules) > 10
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    assert ("grid.py", "numpy") in imported
+    assert not [(name, module) for name, module in imported
+                if module.split(".")[0] == "scipy"]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
 def test_solve_commands_do_not_import_scipy(tmp_path):
-    # the oracles import scipy.integrate when called, and the direct-correlation
-    # oracle of the nonlocal average scipy.ndimage; the diffusion step solves
-    # with numpy alone; so no solve command loads any scipy module, which
-    # would more than double the modules of every cold start
+    # the oracles and weak residuals integrate with series.cumulative_simpson
+    # and the diffusion step solves with numpy alone, so no subcommand, the
+    # oracle studies (convergence, oracle-compare) included, loads any scipy
+    # module, which would more than double the modules of every cold start
     import subprocess
     import sys
 

@@ -255,6 +255,18 @@ class TestDuhamelReference:
         expected = (1 - math.exp(-mu * lam * t)) / (mu * lam) * eigenmode(g).values
         assert np.max(np.abs(out.values - expected)) < 1e-5
 
+    def test_odd_interval_count(self):
+        # an odd count of time intervals takes Cartwright's last interval
+        # and is as accurate as the even count next to it
+        g = grid1d(256)
+        mu, t = 0.1, 0.5
+        lam = math.pi**2
+        prob = ParabolicProblem(g, mu, None, constant(eigenmode(g).values), zeros(g))
+        expected = (1 - math.exp(-mu * lam * t)) / (mu * lam) * eigenmode(g).values
+        for n_time in (63, 64, 65):
+            out = duhamel_reference(prob, t, n_terms=200, n_time=n_time)
+            assert np.max(np.abs(out.values - expected)) < 1e-5, n_time
+
     def test_requires_1d(self):
         g2 = build_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), (8, 8))
         prob = ParabolicProblem(g2, 0.1, None, None, zeros(g2))
