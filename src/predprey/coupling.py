@@ -2,11 +2,15 @@
 
 The nonlinear system is solved by successive substitution, swept w first:
 freeze beta at the previous iterate and solve the diffusion, freeze the
-velocity and alpha at the new w and solve the transport, repeat until the
-sup-in-time L1 distance between iterates drops below tolerance.  This is
-the Gauss-Seidel form of the Jacobi map of the contraction proof, which
+velocity and alpha at the new w and solve the transport, and repeat.  This
+is the Gauss-Seidel form of the Jacobi map of the contraction proof, which
 freezes all three at the previous iterate; both have the same fixed point,
-and the sweep leaves neither species an iteration behind the other.
+and the sweep leaves neither species an iteration behind the other.  A
+window stops (``window_settled``) once the sup-in-time L1 distance d_k
+between the last two iterates drops below tolerance, or once the Banach
+fixed-point estimate r/(1 - r) d_k of the distance to the fixed point, with
+the measured ratio r = d_k/d_{k-1} < 1/2, drops below ESTIMATE_TOL_FRACTION
+times the tolerance.
 Contraction only holds on short time windows, so the horizon is split into
 windows: the first sized from the contraction constant estimate, each later
 one from how fast the one before it settled, and any of them halved
@@ -156,6 +160,7 @@ class WindowLog:
     steps: int
     diffs: tuple[float, ...]
     converged: bool
+    stop: str  # the rule that stopped the window: "tol" or "estimate"
 
     @property
     def iterations(self) -> int:
@@ -264,6 +269,41 @@ def extrapolate_window(history: np.ndarray, n_steps: int) -> np.ndarray:
     return np.where(guess < floor, floor, guess)
 
 
+# Share of picard_tol that the Banach estimate of a window's remaining
+# distance must fall below.  The error a window stops with carries into every
+# later window, so each one gets only a fraction of the tolerance.  Measured
+# on the shipped scenario to T = 4, as the max over times of L1(u) + L1(w) to
+# a solve with tolerance 1e-14, against the 2.4e-10 of the plain d_k < tol
+# rule (30 windows, 86 iterations): a fraction of 1 / 0.1 / 0.01 / 0.001 runs
+# 13 / 15 / 21 / 27 windows and 33 / 41 / 58 / 78 iterations, at a distance
+# of 1.2e-7 / 3.7e-8 / 1.75e-9 / 1.8e-10.  0.01 is the largest that keeps
+# the distance below picard_tol = 1e-8.  A fraction taken from the run, each
+# window's share of the horizon, ran 17 windows and 46 iterations but reached
+# 2.5e-8.
+ESTIMATE_TOL_FRACTION = 0.01
+
+
+def window_settled(diffs, tol: float) -> str | None:
+    """How a window with Picard differences ``diffs`` (d_1..d_k) stops, or
+    None to iterate on.
+
+    ``"tol"`` once d_k < tol.  ``"estimate"`` once k >= 2, the measured
+    contraction ratio r = d_k / d_{k-1} is below 1/2, and the Banach
+    fixed-point bound on the distance from the last iterate to the window's
+    fixed point, r / (1 - r) * d_k, is below ESTIMATE_TOL_FRACTION * tol.
+    A ratio of 1/2 or more leaves only the first rule.
+    """
+    last = diffs[-1]
+    if last < tol:
+        return "tol"
+    # also excludes d_{k-1} = 0 and growing differences, where the estimate
+    # means nothing
+    if len(diffs) < 2 or not last < 0.5 * diffs[-2]:
+        return None
+    r = last / diffs[-2]
+    return "estimate" if r / (1.0 - r) * last < ESTIMATE_TOL_FRACTION * tol else None
+
+
 def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
                   t1: float, u_init: Field, w_init: Field, tol: float,
                   max_iter: int, start: tuple[np.ndarray, np.ndarray] | None = None):
@@ -279,6 +319,7 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     Where beta does not depend on u, the first w march is already exact.
     ``start`` is the first iterate (u, w), each broadcastable to one
     (n_steps+1, *grid.shape) stack; by default the datum held constant.
+    The window stops when ``window_settled`` says so.
     Returns converged (u, w) traces and the iteration log; raises
     NoContraction when the budget runs out, signalling the window is too
     long for the contraction available.
@@ -312,9 +353,10 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
         diffs.append(diff)
         log.debug("window [%g, %g] iteration %d diff %.3e", t0, t1, iteration, diff)
         u_prev, w_prev = u_next, w_next
-        if diff < tol:
+        stop = window_settled(diffs, tol)
+        if stop:
             return (Trace(grid, times, u_next), Trace(grid, times, w_next),
-                    WindowLog(t0, t1, len(times) - 1, tuple(diffs), True))
+                    WindowLog(t0, t1, len(times) - 1, tuple(diffs), True, stop))
     raise NoContraction(
         f"window [{t0:g}, {t1:g}] did not settle in {max_iter} iterations "
         f"(last differences {diffs[-3:]})"
@@ -435,9 +477,9 @@ def iteration_constants(scenario: Scenario, data: ContractionData, k_v: float,
 # MIN_WINDOW_STEPS steps.  A window that settled in at most GROW_AT_MOST
 # iterations (the predicted start plus one confirming march) doubles the
 # next one; one that needed SHRINK_FROM or more halves it.  Measured on the
-# shipped scenario to T = 4: the rule runs 30 windows of 4 to 32 steps (86
+# shipped scenario to T = 4: the rule runs 21 windows of 4 to 64 steps (58
 # iterations) where the 4-step a-priori floor runs 200 (337 iterations), and
-# every ratio of successive Picard differences stays below 0.0023.
+# every ratio of successive Picard differences stays below 0.0066.
 # A window costs one coefficient freeze per iteration plus its set-up, which
 # on 128 cells outweighs the extra marched steps.
 MIN_WINDOW_STEPS = 4

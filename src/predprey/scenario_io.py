@@ -9,7 +9,8 @@ Artifacts written by a run:
 * ``norms.csv``      one row per output time: t, L1/sup/TV of both components
 * ``snapshots/``     one CSV per saved time: cell coordinates + u + w
 * ``bounds.json``    the BoundsReport (schema_version inside)
-* ``picard.log``     per window: successive iterate differences
+* ``picard.log``     per window: successive iterate differences, and the rule
+                     that stopped the window (``stop=tol`` or ``stop=estimate``)
 
 All numeric output is printed with %.17g from fixed-order reductions, so a
 repeated run produces byte-identical files.
@@ -361,9 +362,54 @@ def write_snapshots(trace: CoupledTrace, directory: str, every: int = 1) -> None
             handle.write(body % tuple(values.ravel().tolist()))
 
 
+def _json_chunks(value, pad: str, memo: dict[bytes, str]):
+    """The text of ``json.dump(value, indent=2, sort_keys=True,
+    allow_nan=False)`` at indentation ``pad``, in chunks, for dicts with str
+    keys, lists, tuples and JSON scalars.
+
+    A list of floats is one chunk, its items formatted with
+    ``float.__repr__`` as json formats them.  Each distinct list is
+    formatted once: ``memo`` maps its float64 bytes (so ``-0.0`` and ``0.0``
+    differ) to its items joined by a comma and a newline, which any depth
+    re-indents.
+    A non-finite float raises ValueError.
+    """
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        opener = "{\n" + inner
+        for key in sorted(value):
+            yield opener + json.dumps(key) + ": "
+            yield from _json_chunks(value[key], inner, memo)
+            opener = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if set(map(type, value)) == {float}:
+            key = np.array(value, dtype=np.float64).tobytes()
+            text = memo.get(key)
+            if text is None:
+                if not np.all(np.isfinite(np.frombuffer(key))):
+                    raise ValueError("Out of range float values are not JSON compliant")
+                text = memo[key] = ",\n".join(map(float.__repr__, value))
+            yield "[\n" + inner + text.replace("\n", "\n" + inner) + "\n" + pad + "]"
+            return
+        opener = "[\n" + inner
+        for item in value:
+            yield opener
+            yield from _json_chunks(item, inner, memo)
+            opener = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:
+        # scalars, {} and []
+        yield json.dumps(value, allow_nan=False)
+
+
 def write_bounds_json(report: BoundsReport, path: str) -> None:
+    """The report as ``json.dump(report.to_dict(), indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, and a newline; ``_json_chunks`` formats
+    each distinct list of floats once."""
     with open(path, "w", encoding="ascii") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.writelines(_json_chunks(report.to_dict(), "", {}))
         handle.write("\n")
 
 
@@ -375,7 +421,7 @@ def write_picard_log(trace: CoupledTrace, path: str) -> None:
                 f"window {k} [{_fmt(wl.t0)}, {_fmt(wl.t1)}] iteration {i} diff {_fmt(d)}"
             )
         lines.append(
-            f"window {k} converged={wl.converged} iterations={wl.iterations}"
+            f"window {k} converged={wl.converged} iterations={wl.iterations} stop={wl.stop}"
         )
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -14,7 +14,8 @@ import pytest
 
 from predprey import expressions as ex
 from predprey.coupling import (compute_bounds_report, lipschitz_in_data_experiment,
-                               solve_coupled, stability_in_controls_experiment)
+                               solve_coupled, stability_in_controls_experiment,
+                               window_settled)
 from predprey.grid import DomainSpec, Field, build_grid, full, norm_l1, norm_linf
 from predprey.parabolic import (ParabolicProblem, Scheme, check_parabolic_bounds,
                                 duhamel_reference, parabolic_stability_experiment,
@@ -198,7 +199,7 @@ def test_07_picard_contraction(predator_prey_run):
     for wl in trace.window_logs:
         assert wl.converged
         assert wl.iterations <= 12
-        assert wl.diffs[-1] < 1e-8
+        assert window_settled(wl.diffs, 1e-8)
         tail = wl.diffs[1:]
         assert all(tail[i + 1] < tail[i] for i in range(len(tail) - 1)), \
             f"window [{wl.t0}, {wl.t1}] not strictly decreasing after iterate 2"

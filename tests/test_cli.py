@@ -154,8 +154,9 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
     # `predprey run` writes for the shipped scenarios; refactors must keep
     # those bytes, and only a change of arithmetic made on purpose (last: the
-    # Lipschitz samples drawn as arrays, which moved k_alpha/k_beta in
-    # predator_prey/ and decoupled/bounds.json) regenerates the manifest
+    # Picard windows stopped on the Banach contraction estimate, which moved
+    # predator_prey/'s numbers by at most 5.5e-11 relative, grew its windows,
+    # and added stop= to every picard.log) regenerates the manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")
@@ -184,6 +185,8 @@ def test_perturbation_outputs_match_golden_hashes(tmp_path):
     # tests/data/perturbation_outputs.sha256 holds the sha256 of the
     # lipschitz.json and controls.json that the shipped scenario gives at
     # --delta 1e-2; like the run artifacts, these bytes survive refactors
+    # (last regenerated for the Picard windows stopped on the Banach
+    # contraction estimate: quotients moved by at most 4.3e-12 relative)
     import hashlib
 
     manifest = os.path.join(os.path.dirname(__file__), "data", "perturbation_outputs.sha256")

@@ -22,7 +22,7 @@ import pytest
 from predprey import expressions as ex
 from predprey import parabolic, transport
 from predprey.coupling import (NoContraction, Scenario, WindowLog, extrapolate_window,
-                               picard_window, sample_keyed, solve_coupled)
+                               picard_window, sample_keyed, solve_coupled, window_settled)
 from predprey.grid import (DomainSpec, Field, GridError, VectorField, build_grid, l1_norms,
                            norm_l1, require_finite, zeros)
 from predprey.parabolic import (ParabolicProblem, Scheme, StiffReaction, solve_parabolic,
@@ -131,7 +131,7 @@ def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
             for un, up, wn, wp in zip(u_next, u_prev, w_next, w_prev)
         ))
         u_prev, w_prev = u_next, w_next
-        if diffs[-1] < s.picard_tol:
+        if window_settled(diffs, s.picard_tol):
             return u_next, w_next, diffs
     raise AssertionError("oracle window did not settle")
 
@@ -163,9 +163,10 @@ def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter,
         diffs.append(float(np.max(l1_norms(u_next - u_prev, grid)
                                   + l1_norms(w_next - w_prev, grid))))
         u_prev, w_prev = u_next, w_next
-        if diffs[-1] < tol:
+        stop = window_settled(diffs, tol)
+        if stop:
             return (Trace(grid, times, u_next), Trace(grid, times, w_next),
-                    WindowLog(t0, t1, len(times) - 1, tuple(diffs), True))
+                    WindowLog(t0, t1, len(times) - 1, tuple(diffs), True, stop))
     raise NoContraction("jacobi window did not settle")
 
 

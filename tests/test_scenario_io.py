@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from predprey.coupling import (CoupledTrace, Scenario, WindowPlan, compute_bound
 from predprey.grid import DomainSpec, build_grid
 from predprey.scenario_io import (SNAPSHOT_HEADER, ParseError, ScenarioError, ValidationError,
                                   load_scenario, parse_scenario_text, scenario_to_text,
-                                  write_run_artifacts, write_snapshots)
+                                  write_bounds_json, write_run_artifacts, write_snapshots)
 from predprey.series import Trace
 
 MINIMAL = """\
@@ -202,7 +203,11 @@ class TestArtifacts:
         _, trace, _, paths = run
         text = open(paths.picard_log).read()
         assert "window 0" in text
-        assert "converged=True" in text
+        summaries = [line for line in text.splitlines() if "converged=" in line]
+        assert summaries == [
+            f"window {k} converged=True iterations={wl.iterations} stop={wl.stop}"
+            for k, wl in enumerate(trace.window_logs)]
+        assert {wl.stop for wl in trace.window_logs} <= {"tol", "estimate"}
 
     def test_deterministic_rerun(self, run, tmp_path):
         s, _, _, paths = run
@@ -214,8 +219,6 @@ class TestArtifacts:
 
 
 def test_seed_round_trips():
-    from dataclasses import replace
-
     s = replace(parse_scenario_text(MINIMAL), seed=17)
     assert parse_scenario_text(scenario_to_text(s)).seed == 17
     assert parse_scenario_text(scenario_to_text(s)) == s
@@ -244,6 +247,51 @@ def test_saturated_ledger_writes_strict_json(tmp_path, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert "u_tv_iteration" in warnings[0] and "saturated" in warnings[0]
+
+
+def dumped(report) -> str:
+    """bounds.json as json.dump writes it: the oracle of write_bounds_json."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+@pytest.mark.parametrize("name,horizon", [
+    ("predator_prey", None), ("advection", None), ("decoupled", None), ("predator_prey", 4.0),
+], ids=["predator_prey", "advection", "decoupled", "predator_prey-T4"])
+def test_bounds_json_matches_json_dump(name, horizon, tmp_path):
+    s = load_scenario(os.path.join(SCENARIOS, name + ".ini"))
+    if horizon is not None:
+        s = replace(s, horizon=horizon)
+    report = compute_bounds_report(solve_coupled(s), s)
+    path = tmp_path / "bounds.json"
+    write_bounds_json(report, str(path))
+    assert path.read_text(encoding="ascii") == dumped(report)
+
+
+def test_bounds_json_keeps_signed_zeros_and_mixed_lists(run, tmp_path):
+    # equal under == but not in bytes: each list keeps its own text
+    report = replace(run[2], times=[0.0, 1, 2.5], constants={
+        "a": [0.0, 1.0], "b": [-0.0, 1.0], "c": [0.0, 1.0], "d": [], "e": [True, 0.5]})
+    path = tmp_path / "bounds.json"
+    write_bounds_json(report, str(path))
+    text = path.read_text(encoding="ascii")
+    assert text == dumped(report)
+    assert "-0.0" in text
+
+
+@pytest.mark.parametrize("change", [
+    dict(k_v_empirical=float("inf")),
+    dict(constants={"c_w1": [1.0, float("inf")]}),
+    dict(constants={"c_w1": [float("nan")]}),
+], ids=["scalar-inf", "list-inf", "list-nan"])
+def test_bounds_json_rejects_non_finite(run, change, tmp_path):
+    report = replace(run[2], **change)
+    with pytest.raises(ValueError):
+        dumped(report)
+    with pytest.raises(ValueError):
+        write_bounds_json(report, str(tmp_path / "bounds.json"))
 
 
 def write_snapshots_per_value(trace, directory, every):
