@@ -66,8 +66,8 @@ def _graded_solve(args):
 
 def cmd_run(args) -> int:
     scenario, out_dir, trace, report = _graded_solve(args)
-    artifacts = write_run_artifacts(trace, report, scenario, out_dir)
-    log.info("wrote %s", artifacts.norms_csv)
+    for path in write_run_artifacts(trace, report, scenario, out_dir).written():
+        log.info("wrote %s", path)
     log.info("bounds ledger all_passed=%s", report.all_passed())
     return 0
 

@@ -3,8 +3,9 @@
 Solves  d_t w = mu * Lap w + B(t,x) w + b(t,x)  with zero boundary values.
 Diffusion is implicit (theta = 1 backward Euler, theta = 1/2 trapezoidal with
 coefficients at the half step); the reaction stays explicit inside the solve,
-which keeps the linear system constant in time and preserves positivity of
-backward Euler whenever dt * max|B| < 1.
+which keeps the linear system constant in time.  Both schemes require
+dt * max|B| < 1, which keeps the sign of the explicit factor 1 + dt B and with
+it the positivity of backward Euler.
 
 The wall value 0 is imposed through antisymmetric ghost cells
 (ghost = -first interior value), putting the homogeneous Dirichlet condition
@@ -43,7 +44,8 @@ class Requires1D(ValueError):
 
 
 class StiffReaction(ValueError):
-    """dt * max|B| >= 1 breaks the explicit-reaction positivity guarantee."""
+    """dt * max|B| >= 1 at some step: the explicit reaction factor 1 + dt B
+    can change sign, under either scheme."""
 
 
 @dataclass(frozen=True)
@@ -257,12 +259,17 @@ def _tridiagonal(n: int, coeff: float, columns: int = 1) -> AxisSolve:
     return solve
 
 
-def _solve_axis(rhs: np.ndarray, solve: AxisSolve, axis: int) -> np.ndarray:
-    """Apply a precomputed axis solve along one axis of a 1D or 2D rhs."""
+def _solve_axis(rhs: np.ndarray, solve: AxisSolve, axis: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a precomputed axis solve along one axis of a 1D or 2D rhs,
+    into ``out`` if given (a 1D solve by the dense inverse then allocates
+    nothing)."""
     block, rows, reduced, spikes = solve
     moved = rhs.swapaxes(0, axis)
     n, size = len(moved), len(block)
     if size == n:
+        if out is not None:
+            return np.matmul(block, moved, out=out.swapaxes(0, axis)).swapaxes(0, axis)
         return (block @ moved).swapaxes(0, axis)
     count = -(-n // size)
     flat = moved.reshape(n, -1)
@@ -271,7 +278,11 @@ def _solve_axis(rhs: np.ndarray, solve: AxisSolve, axis: int) -> np.ndarray:
     x = block @ flat.reshape(count, size, -1)
     weights = reduced @ x.reshape(count * size, -1).take(rows, axis=0)
     x -= spikes @ weights.reshape(count, spikes.shape[1], -1)
-    return x.reshape(count * size, -1)[:n].reshape(moved.shape).swapaxes(0, axis)
+    solved = x.reshape(count * size, -1)[:n].reshape(moved.shape).swapaxes(0, axis)
+    if out is not None:
+        out[...] = solved
+        return out
+    return solved
 
 
 def coefficient_times(times: np.ndarray, kind: str) -> np.ndarray:
@@ -314,14 +325,17 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
     splitting remainder.  The explicit part w -> (1 + dt B) w + dt b of
     every step is built before the loop in whole-array operations, and the
     axis solves come from the ``_tridiagonal`` cache, looked up again only
-    when the step size changes.  Backward Euler needs dt * max|B| < 1 at
-    every step: the march stops before the first step that breaks it and,
-    once the states before it are known to be finite, raises StiffReaction.
+    when the step size changes.  In 1D a step writes its explicit part into
+    one reused buffer and solves it straight into the next state.  Both
+    schemes take the reaction explicitly, so both need dt * max|B| < 1 at
+    every step, the bound that keeps 1 + dt B positive: the march stops
+    before the first step that breaks it and, once the states before it are
+    known to be finite, raises StiffReaction.
     """
     n, dim = len(dts), grid.dim
     theta = 1.0 if kind == "implicit_euler" else 0.5
     n_ok, stiff = n, 0.0
-    if kind == "implicit_euler" and B is not None:
+    if B is not None:
         stiffness = dts * np.max(np.abs(B.reshape(n, -1)), axis=1)
         over = np.flatnonzero(stiffness >= 1.0)
         if over.size:
@@ -331,6 +345,7 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
     shift = None if b is None else dt_rows * b[:n_ok]
     out = np.empty((n_ok + 1,) + grid.shape)
     out[0] = w0
+    buf = np.empty(grid.shape)
     for k in range(n_ok):
         dt, w = dts[k], out[k]
         if k == 0 or dt != dts[k - 1]:
@@ -338,13 +353,14 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
             solves = [_tridiagonal(n_ax, coeff / h**2, w.size // n_ax)
                       for n_ax, h in zip(grid.shape, grid.dx)]
         # the explicit part (1 + dt B) w + dt b
-        rhs = w if gain is None else gain[k] * w
+        rhs = w if gain is None else np.multiply(gain[k], w, out=buf)
         if shift is not None:
-            rhs = rhs + shift[k]
+            rhs = np.add(rhs, shift[k], out=buf)
         if dim == 1:
             if theta < 1.0:
-                rhs = rhs + ((1.0 - theta) * dt * mu) * dirichlet_laplacian(w, grid)
-            out[k + 1] = _solve_axis(rhs, solves[0], axis=0)
+                rhs = np.add(rhs, ((1.0 - theta) * dt * mu) * dirichlet_laplacian(w, grid),
+                             out=buf)
+            _solve_axis(rhs, solves[0], axis=0, out=out[k + 1])
         elif kind == "implicit_euler":
             out[k + 1] = _solve_axis(_solve_axis(rhs, solves[0], axis=0), solves[1], axis=1)
         else:

@@ -429,26 +429,37 @@ def write_picard_log(trace: CoupledTrace, path: str) -> None:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    norms_csv: str
-    snapshot_dir: str
-    bounds_json: str
+    """Where ``write_run_artifacts`` wrote each artifact; None for one the
+    scenario's formats leave out."""
+
+    norms_csv: str | None
+    snapshot_dir: str | None
+    bounds_json: str | None
     picard_log: str
+
+    def written(self) -> list[str]:
+        """The paths written, in the order of the fields."""
+        return [path for path in (self.norms_csv, self.snapshot_dir, self.bounds_json,
+                                  self.picard_log) if path is not None]
 
 
 def write_run_artifacts(trace: CoupledTrace, report: BoundsReport,
                         scenario: Scenario, out_dir: str) -> RunArtifacts:
+    """Write ``norms.csv`` and ``snapshots/`` (csv), ``bounds.json`` (json)
+    and ``picard.log`` (always) into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
+    as_csv, as_json = "csv" in scenario.formats, "json" in scenario.formats
     paths = RunArtifacts(
-        norms_csv=os.path.join(out_dir, "norms.csv"),
-        snapshot_dir=os.path.join(out_dir, "snapshots"),
-        bounds_json=os.path.join(out_dir, "bounds.json"),
+        norms_csv=os.path.join(out_dir, "norms.csv") if as_csv else None,
+        snapshot_dir=os.path.join(out_dir, "snapshots") if as_csv else None,
+        bounds_json=os.path.join(out_dir, "bounds.json") if as_json else None,
         picard_log=os.path.join(out_dir, "picard.log"),
     )
     every = scenario.snapshot_every
-    if "csv" in scenario.formats:
+    if as_csv:
         write_norms_csv(trace, paths.norms_csv, every)
         write_snapshots(trace, paths.snapshot_dir, every)
-    if "json" in scenario.formats:
+    if as_json:
         write_bounds_json(report, paths.bounds_json)
     write_picard_log(trace, paths.picard_log)
     return paths

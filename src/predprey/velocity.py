@@ -10,12 +10,13 @@ the averaged density, with speed kappa * |g| / sqrt(1 + |g|^2) <= kappa.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, VectorField, gradient_components, l1_norms,
-                   linf_norms, require_finite)
+from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, gradient_components,
+                   l1_norms, linf_norms, require_finite)
 
 
 class HorizonTooSmall(ValueError):
@@ -56,7 +57,9 @@ class Kernel:
     the real FFT of the flipped window zero-padded to n + m - 1 points along
     each grid axis (n cells, m stencil points), and ``denominators`` the
     per-cell window mass clipped to the domain, in (0, 1].  Immutable; safe
-    to share.
+    to share.  A 1D kernel of at most ``DENSE_DRIFT_CELLS`` cells also has a
+    drift matrix (``drift_matrix``), built on first use and shared by every
+    kernel of the same horizon and grid.
     """
 
     grid: Grid
@@ -142,23 +145,72 @@ def modified_convolution(rho: Field, kernel: Kernel) -> Field:
     return Field(rho.grid, _average(rho.values, kernel))
 
 
+# The linear part of the 1D drift, w -> grad(average of w), is one fixed
+# n x n matrix.  Per call on one core of a 2-vCPU host (best of 7 x 50 calls,
+# us, FFT path -> matrix product, for 4 / 41 / 64 rows of a stack):
+#   64 cells:   128 -> 10,   211 -> 27,   193 -> 27
+#   128 cells:  103 -> 10,   219 -> 50,   263 -> 91
+#   256 cells:   95 -> 25,   300 -> 216,  670 -> 316
+#   512 cells:  194 -> 245,  758 -> 799, 1244 -> 1115
+#   1024 cells: 277 -> 946, 1732 -> 3360, 2932 -> 4680
+# The matrix takes 0.4 / 1.0 / 4.1 / 21 / 84 ms to build and 0.03 / 0.13 /
+# 0.52 / 2.1 / 8.4 MB to keep at 64 ... 1024 cells, so 1D grids of up to 256
+# cells take the product and longer ones, and 2D grids, the FFT path.
+DENSE_DRIFT_CELLS = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _drift_matrix(ell: float, spec: DomainSpec, n_cells: tuple[int, ...]) -> np.ndarray:
+    """G with grad(average of w) = w @ G on a 1D grid: row j is the FFT path
+    (``_average`` and the ``edge_order=2`` gradient) applied to the unit
+    density at cell j.  Keyed on what the kernel is built from, because a
+    Grid holds arrays and is not hashable; read-only, shared by every caller."""
+    grid = build_grid(spec, n_cells)
+    kernel = make_kernel(ell, grid)
+    (G,) = gradient_components(_average(np.eye(grid.n_cells[0]), kernel), grid)
+    G.setflags(write=False)
+    return G
+
+
+def drift_matrix(kernel: Kernel) -> np.ndarray | None:
+    """The kernel's read-only drift matrix G (``_drift_matrix``), or None on a
+    2D grid or a 1D grid of more than ``DENSE_DRIFT_CELLS`` cells."""
+    grid = kernel.grid
+    if grid.dim != 1 or grid.n_cells[0] > DENSE_DRIFT_CELLS:
+        return None
+    return _drift_matrix(kernel.ell, grid.spec, grid.n_cells)
+
+
 def drift_velocity(w: np.ndarray, kernel: Kernel, kappa: float, attract: int = 1) -> np.ndarray:
     """velocity() on raw values: w is one density or a stack (n, *grid.shape).
 
     Returns the components, shape (dim, *grid.shape) or (n, dim, *grid.shape).
+    The gradient g of the average is ``w @ drift_matrix(kernel)`` where the
+    kernel has a drift matrix, one matrix product for the whole stack, and
+    the FFT average followed by ``gradient_components`` otherwise.  The
+    product sums in another order than the FFT path, so the two differ in
+    the last bits (at most 7.4e-13 of the largest gradient at 256 cells, see
+    tests/test_velocity.py); a BLAS may also sum one row apart from a stack
+    of rows differently.
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     if attract not in (1, -1):
         raise ValueError("attract must be +1 or -1")
     grid = kernel.grid
-    conv = _average(w, kernel)
-    grads = gradient_components(conv, grid)
-    gnorm2 = np.zeros(conv.shape)
-    for g in grads:
-        gnorm2 += g**2
-    scale = attract * kappa / np.sqrt(1.0 + gnorm2)
-    comps = np.stack([g * scale for g in grads], axis=w.ndim - grid.dim)
+    G = drift_matrix(kernel)
+    grads = gradient_components(_average(w, kernel), grid) if G is None else [w @ G]
+    # scale = attract * kappa / sqrt(1 + |g|^2), in place
+    scale = grads[0] * grads[0]
+    for g in grads[1:]:
+        scale += g * g
+    scale += 1.0
+    np.sqrt(scale, out=scale)
+    np.divide(attract * kappa, scale, out=scale)
+    if grid.dim == 1:
+        comps = np.expand_dims(np.multiply(grads[0], scale, out=scale), -2)
+    else:
+        comps = np.stack([g * scale for g in grads], axis=w.ndim - grid.dim)
     require_finite(comps, "vector field")
     return comps
 

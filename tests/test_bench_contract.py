@@ -3,19 +3,23 @@
 perfbench/tracing.py replaces (module, attribute) pairs with timing wrappers
 for ``--trace 1``; a pair that no longer resolves breaks the traced run.
 The benchmark's gates read the return values of the wrapped calls, so each
-job must also make the calls they count, in their order.  The tracer is
-loaded by path, so the benchmark directory stays untouched.
+job must also make the calls they count, in their order, and pass the
+gates the runner applies to each job.  The tracer and the runner are loaded
+by path, so the benchmark directory stays untouched.
 """
 
 import argparse
 import importlib
 import importlib.util
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
 SHIPPED = os.path.join(ROOT, "scenarios", "predator_prey.ini")
 
 
@@ -76,3 +80,38 @@ def test_run_job_grades_its_solve_once(short_scenario, tmp_path):
     probe = probe_job("cmd_run", short_scenario, str(tmp_path))
     assert len(probe.results["coupling.solve_coupled"]) == 1
     assert len(probe.results["coupling.compute_bounds_report"]) == 1
+
+
+# The runner's own modules, imported by name from its directory.
+RUNNER_SIBLINGS = ("tracing", "workloads", "yardstick")
+
+
+@pytest.fixture()
+def bench_runner(monkeypatch):
+    """perfbench/run.py loaded by path, with its directory on sys.path and its
+    sibling modules in sys.modules for this test only."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    for name in RUNNER_SIBLINGS:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  os.path.join(PERFBENCH, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in RUNNER_SIBLINGS:
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("kind", ["run", "lipschitz"])
+def test_run_job_passes_the_benchmark_gate(bench_runner, kind, traced, short_scenario,
+                                           tmp_path):
+    # run.py exits 1 when an exception escapes run_job's try: the gate (which
+    # reads the window logs, the positivity audit and the ledger), the ledger
+    # timer, or the counts.  One gated job of each kind must come back clean.
+    import predprey.cli as cli
+
+    job = bench_runner.run_job(cli, kind, Path(short_scenario), tmp_path / "out", traced,
+                               None, 1e-5)
+    assert job["error"] is None
+    assert job["problems"] == []

@@ -1,6 +1,7 @@
 """End-to-end CLI tests on small scenarios."""
 
 import json
+import logging
 import os
 
 import pytest
@@ -154,9 +155,10 @@ def test_shipped_artifacts_match_golden_hashes(tmp_path):
     # tests/data/shipped_artifacts.sha256 holds the sha256 of every file
     # `predprey run` writes for the shipped scenarios; refactors must keep
     # those bytes, and only a change of arithmetic made on purpose (last: the
-    # Picard windows stopped on the Banach contraction estimate, which moved
-    # predator_prey/'s numbers by at most 5.5e-11 relative, grew its windows,
-    # and added stop= to every picard.log) regenerates the manifest
+    # 1D drift as one matrix product, which moved the snapshots and norms of
+    # advection/ and predator_prey/ by at most 4.0e-15, their Picard
+    # differences by at most 1.5e-12 and their bounds.json by at most 1.0e-10
+    # relative; decoupled/ kept its bytes) regenerates the manifest
     import hashlib
 
     root = os.path.join(os.path.dirname(__file__), "..")
@@ -185,8 +187,8 @@ def test_perturbation_outputs_match_golden_hashes(tmp_path):
     # tests/data/perturbation_outputs.sha256 holds the sha256 of the
     # lipschitz.json and controls.json that the shipped scenario gives at
     # --delta 1e-2; like the run artifacts, these bytes survive refactors
-    # (last regenerated for the Picard windows stopped on the Banach
-    # contraction estimate: quotients moved by at most 4.3e-12 relative)
+    # (last regenerated for the 1D drift as one matrix product: numbers
+    # moved by at most 1.9e-13 relative)
     import hashlib
 
     manifest = os.path.join(os.path.dirname(__file__), "data", "perturbation_outputs.sha256")
@@ -241,6 +243,41 @@ def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
     assert main(["run", "--scenario", str(edited), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("beta", ["-300", "-500"])
+def test_stiff_reaction_stops_both_schemes(scheme, beta, tmp_path, capsys):
+    # dt * max|B| = 1.5 (2.5) >= 1: both schemes take the reaction
+    # explicitly, so both stop on dt.  Crank-Nicolson once ran on to a
+    # negative w (-300) or overflowed into a non-finite field (-500).
+    text = open(SHIPPED, encoding="ascii").read()
+    for old, new in (("beta = -u", f"beta = {beta}"),
+                     ("parabolic = implicit_euler", f"parabolic = {scheme}")):
+        assert old in text
+        text = text.replace(old, new)
+    edited = tmp_path / "stiff.ini"
+    edited.write_text(text)
+    assert main(["run", "--scenario", str(edited), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [time.dt] dt * max|B| = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("formats,names", [
+    ("json", ["bounds.json", "picard.log"]),
+    ("csv", ["norms.csv", "snapshots", "picard.log"]),
+    ("csv,json", ["norms.csv", "snapshots", "bounds.json", "picard.log"]),
+])
+def test_run_logs_the_files_it_wrote(formats, names, tmp_path, caplog):
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL.replace("formats = csv,json", f"formats = {formats}"))
+    out = tmp_path / "o"
+    with caplog.at_level(logging.INFO, logger="predprey"):
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    wrote = [r.getMessage().removeprefix("wrote ") for r in caplog.records
+             if r.getMessage().startswith("wrote ")]
+    assert wrote == [str(out / name) for name in names]
+    assert sorted(os.listdir(out)) == sorted(names)
 
 
 @pytest.mark.parametrize("argv,key", [

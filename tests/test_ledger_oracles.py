@@ -3,7 +3,8 @@
 ``verify_hypothesis_v`` and ``estimate_coefficient_lipschitz`` measure their
 quotients over stacks of samples.  The loops below are the earlier
 implementations, one velocity, divergence and scalar evaluation at a time;
-both sides must agree exactly (``==``, no tolerance).
+both sides must agree exactly (``==``, no tolerance), except the 1D
+velocity quotients (``assert_reports_match``).
 """
 
 import os
@@ -22,6 +23,24 @@ from predprey.velocity import (DegenerateSample, HypothesisVReport, make_kernel,
                                velocity, verify_hypothesis_v)
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
+
+
+# A 1D drift is one matrix product (velocity.drift_matrix): the stack takes
+# one product for all samples, the loop one per sample, and a BLAS may sum
+# a single row apart from a stack of rows in another order.  On the shipped
+# samples the quotients then differ by at most 1.3e-14 relative
+# (div_lipschitz_quotient, a difference quotient); 2D has no drift matrix
+# and stays exact.
+HYPOTHESIS_V_RTOL = 1e-13
+QUOTIENTS = ("speed_quotient", "gradient_quotient", "lipschitz_quotient",
+             "div_lipschitz_quotient", "second_derivative_quotient")
+
+
+def assert_reports_match(got, want):
+    assert got.n_samples == want.n_samples
+    for name in QUOTIENTS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                   rel=HYPOTHESIS_V_RTOL, abs=0.0), name
 
 
 def _max_derivative(vf):
@@ -172,7 +191,8 @@ def test_hypothesis_v_ledger_samples(shipped):
     samples = _smooth_sample_fields(grid, [Field(grid, w) for w in rows], scenario.seed)
     assert len(samples) == 22
     got = verify_hypothesis_v(kernel, scenario.kappa, samples, scenario.attract)
-    assert got == hypothesis_v_loop(kernel, scenario.kappa, samples, scenario.attract)
+    assert_reports_match(got, hypothesis_v_loop(kernel, scenario.kappa, samples,
+                                                scenario.attract))
 
 
 @pytest.mark.parametrize("attract", [1, -1])
@@ -193,7 +213,7 @@ def test_hypothesis_v_skips_zero_mass_and_zero_distance(shipped):
     w = Field(grid, trace.w.values[-1])
     samples = [zeros(grid), w, Field(grid, trace.w.values[0]), w, zeros(grid)]
     got = verify_hypothesis_v(kernel, scenario.kappa, samples)
-    assert got == hypothesis_v_loop(kernel, scenario.kappa, samples)
+    assert_reports_match(got, hypothesis_v_loop(kernel, scenario.kappa, samples))
     only_zero = [zeros(grid), zeros(grid)]
     got = verify_hypothesis_v(kernel, scenario.kappa, only_zero)
     assert got == hypothesis_v_loop(kernel, scenario.kappa, only_zero)

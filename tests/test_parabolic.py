@@ -159,7 +159,7 @@ def rhs_march(w0, B, b, dts, mu, kind, grid):
     n, dim = len(dts), grid.dim
     theta = 1.0 if kind == "implicit_euler" else 0.5
     n_ok = n
-    if kind == "implicit_euler" and B is not None:
+    if B is not None:
         over = np.flatnonzero(dts * np.max(np.abs(B.reshape(n, -1)), axis=1) >= 1.0)
         n_ok = int(over[0]) if over.size else n
     out = [w0]
@@ -216,17 +216,21 @@ class TestPrecomputedExplicitPart:
         assert n_ok == len(dts) and got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("shape", [(48,), (20, 28)], ids=["1d", "2d"])
-    def test_stiff_stop_at_same_step(self, shape, monkeypatch):
+    @pytest.mark.parametrize("shape,kind", [
+        ((48,), "implicit_euler"), ((20, 28), "implicit_euler"),
+        ((48,), "crank_nicolson"), ((20, 28), "crank_nicolson"),
+    ], ids=["1d", "2d", "1d-crank_nicolson", "2d-crank_nicolson"])
+    def test_stiff_stop_at_same_step(self, shape, kind, monkeypatch):
+        # both schemes take the reaction explicitly and stop at dt * max|B| >= 1
         g, w0, B, b, dts = random_diffusion(shape, 12, 7)
         B[4].flat[2] = 1.0 / dts[4]   # dt * |B| = 1 at step 4
         B[9].flat[0] = -3.0 / dts[9]
-        ref, n_ok = rhs_march(w0, B, b, dts, 0.05, "implicit_euler", g)
+        ref, n_ok = rhs_march(w0, B, b, dts, 0.05, kind, g)
         assert n_ok == 4
         checked = []
         monkeypatch.setattr(pb, "require_finite", checked.append)
         with pytest.raises(StiffReaction):
-            march_imex(w0, B, b, dts, 0.05, "implicit_euler", g)
+            march_imex(w0, B, b, dts, 0.05, kind, g)
         (got,) = checked
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -4,8 +4,9 @@ The oracle below is the slow path: coefficients frozen one snapshot at a
 time, read back through ``at(t)`` with the original bracket-and-blend rule,
 and marched one ``fv_upwind_step``/``step_parabolic`` call per step, in the
 window's sweep order (w first, then u on the new w).  The array path must
-reproduce it bit for bit, from the datum start and from the quadratic and
-quartic predicted starts, and must still fail the same way.
+reproduce it, from the datum start and from the quadratic and quartic
+predicted starts, and must still fail the same way: bit for bit in 2D, and
+within ``WINDOW_ATOL_1D`` in 1D (``assert_window_matches``).
 
 A second oracle keeps the Jacobi order of the contraction proof, all three
 coefficients frozen on the previous iterate: the sweep has the same fixed
@@ -170,6 +171,29 @@ def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter,
     raise NoContraction("jacobi window did not settle")
 
 
+# A 1D window freezes its drift with one matrix product over all its rows
+# (velocity.drift_matrix), the loop with one product per field, and a BLAS
+# may sum a single row apart from a stack of rows in another order.  On
+# these windows the states then differ by at most 1.1e-16 (values up to 0.5)
+# and the Picard differences by at most 6.1e-18.  2D has no drift matrix and
+# stays bit for bit.
+WINDOW_ATOL_1D = 1e-15
+
+
+def assert_window_matches(grid, u_tr, w_tr, wlog, u_ref, w_ref, diffs):
+    u_ref = np.stack([f.values for f in u_ref])
+    w_ref = np.stack([f.values for f in w_ref])
+    if grid.dim == 2:
+        assert wlog.diffs == tuple(diffs)
+        assert np.array_equal(u_tr.values, u_ref)
+        assert np.array_equal(w_tr.values, w_ref)
+        return
+    assert len(wlog.diffs) == len(diffs)
+    assert np.max(np.abs(np.subtract(wlog.diffs, diffs))) <= WINDOW_ATOL_1D
+    assert np.max(np.abs(u_tr.values - u_ref)) <= WINDOW_ATOL_1D
+    assert np.max(np.abs(w_tr.values - w_ref)) <= WINDOW_ATOL_1D
+
+
 CASES = dict(argnames="extra", argvalues=[
     dict(parabolic_scheme="implicit_euler"),
     dict(parabolic_scheme="crank_nicolson"),
@@ -190,9 +214,7 @@ def test_array_window_matches_field_loop_bit_for_bit(extra):
     u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u0, w0,
                                      s.picard_tol, s.picard_max_iter)
     assert len(diffs) > 1
-    assert wlog.diffs == tuple(diffs)
-    assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
-    assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
+    assert_window_matches(grid, u_tr, w_tr, wlog, u_ref, w_ref, diffs)
 
 
 @pytest.mark.parametrize(**CASES)
@@ -219,9 +241,7 @@ def test_predicted_start_matches_field_loop_bit_for_bit(extra):
             # the quartic start may settle in one iteration; the quadratic
             # one exercises the iterate handover
             assert len(diffs) > 1
-        assert wlog.diffs == tuple(diffs)
-        assert np.array_equal(u_tr.values, np.stack([f.values for f in u_ref]))
-        assert np.array_equal(w_tr.values, np.stack([f.values for f in w_ref]))
+        assert_window_matches(grid, u_tr, w_tr, wlog, u_ref, w_ref, diffs)
         # the prediction starts closer to the fixed point than the datum does
         assert diffs[0] < datum_diffs[0]
 
