@@ -363,37 +363,46 @@ def picard_window(scenario: Scenario, grid: Grid, kernel: Kernel, t0: float,
     )
 
 
-def _smooth_sample_fields(grid: Grid, base: list[Field], seed: int,
-                          count: int = 8) -> list[Field]:
-    """Deterministic smooth densities for the velocity-hypothesis sampling.
+def _smooth_sample_fields(grid: Grid, extra: np.ndarray, seed: int,
+                          count: int = 8) -> np.ndarray:
+    """The velocity-hypothesis samples as one (n, *grid.shape) stack: the
+    ``extra`` rows, then ``count`` deterministic smooth densities, then the
+    zero density.
 
-    Each of the ``count`` densities sums three Gaussian bumps, and each bump
-    draws an amplitude, a width and a centre per axis.  One generator call
-    draws all of them in that order, which gives the doubles of one scalar
-    call per parameter.
+    Each seeded density sums three Gaussian bumps, and each bump draws an
+    amplitude, a width and a centre per axis.  One generator call draws all
+    of them in that order, which gives the doubles of one scalar call per
+    parameter.  Each axis factor of every bump is one broadcast over that
+    axis's centres, and the bumps are added in their draw order, as one
+    density at a time would add them.
     """
     rng = np.random.default_rng(seed)
-    mesh = grid.centers()
     lows = [-1.0, 5.0] + [lo for lo, _ in grid.spec.bounds]
     highs = [1.0, 60.0] + [hi for _, hi in grid.spec.bounds]
     draws = rng.uniform(np.tile(lows, 3 * count), np.tile(highs, 3 * count))
-    fields = list(base)
-    for bumps in draws.reshape(count, 3, len(lows)):
-        vals = np.zeros(grid.shape)
-        for amp, width, *centers in bumps:
-            bump = np.ones(grid.shape)
-            for m, center in zip(mesh, centers):
-                bump = bump * np.exp(-width * (m - center) ** 2)
-            vals += amp * bump
-        fields.append(Field(grid, vals))
-    fields.append(Field(grid, np.zeros(grid.shape)))
-    return fields
+    draws = draws.reshape(count, 3, len(lows))
+    cell_axes = (Ellipsis,) + (None,) * grid.dim
+    amps, widths = draws[..., 0][cell_axes], draws[..., 1][cell_axes]
+    # factors[axis][s, k] is bump k of density s along one axis, shaped to
+    # broadcast over the grid
+    factors = [np.exp(-widths * (x - draws[..., 2 + axis][cell_axes]) ** 2)
+               for axis, x in enumerate(np.ix_(*grid.axis_centers))]
+    stack = np.zeros((len(extra) + count + 1,) + grid.shape)
+    stack[:len(extra)] = extra
+    seeded = stack[len(extra):-1]
+    for k in range(3):
+        bump = factors[0][:, k]
+        for factor in factors[1:]:
+            bump = bump * factor[:, k]
+        seeded += amps[:, k] * bump
+    return stack
 
 
 def estimate_velocity_constants(scenario: Scenario, grid: Grid, kernel: Kernel,
-                                extra_fields: tuple[Field, ...] = ()) -> HypothesisVReport:
-    base = list(extra_fields)
-    samples = _smooth_sample_fields(grid, base, scenario.seed)
+                                extra: np.ndarray) -> HypothesisVReport:
+    """verify_hypothesis_v over the ``extra`` rows (shape (k, *grid.shape))
+    and the scenario's seeded samples (``_smooth_sample_fields``)."""
+    samples = _smooth_sample_fields(grid, extra, scenario.seed)
     return verify_hypothesis_v(kernel, scenario.kappa, samples, scenario.attract)
 
 
@@ -523,8 +532,8 @@ def initial_window(scenario: Scenario, grid: Grid, kernel: Kernel) -> WindowPlan
     """
     from .calibration import TV_CONST_HYPERBOLIC, TV_CONST_PARABOLIC
 
-    u0f, w0f = scenario.initial_fields(grid)
-    report = estimate_velocity_constants(scenario, grid, kernel, (w0f,))
+    w0 = sample_keyed(scenario.w0, "initial.w0", grid, [0.0])
+    report = estimate_velocity_constants(scenario, grid, kernel, w0)
     n_steps = int(round(scenario.horizon / scenario.dt))
     times = scenario.dt * np.arange(n_steps + 1)
     data = _contraction_data(scenario, grid, times)
@@ -783,8 +792,8 @@ def compute_bounds_report(trace: CoupledTrace, scenario: Scenario) -> BoundsRepo
 
     grid = trace.grid
     kernel = make_kernel(scenario.ell, grid)
-    w_samples = tuple(Field(grid, w) for w in trace.w.values[:: max(1, len(trace.times) // 12)])
-    vel_report = estimate_velocity_constants(scenario, grid, kernel, w_samples)
+    w_rows = trace.w.values[:: max(1, len(trace.times) // 12)]
+    vel_report = estimate_velocity_constants(scenario, grid, kernel, w_rows)
     k_v, c_v = vel_report.k_v, vel_report.c_v
     data = _contraction_data(scenario, grid, trace.times)
     consts = iteration_constants(scenario, data, k_v, c_v,

@@ -374,7 +374,9 @@ def sample_stack(expr: Expr, grid: Grid, times, u: np.ndarray | None = None,
     One broadcast evaluation: ``t`` enters as a column, ``u``/``w`` as stacks
     of shape (len(times), *grid.shape), which is also the shape of the
     returned read-only array.  A non-finite value raises NonFiniteValue
-    naming the first offending time and cell.
+    naming the first offending time and cell.  The check reads the
+    evaluation before it is broadcast: an expression without ``t``, ``u``
+    and ``w`` is checked on one row, not once per time.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     shape = (len(times),) + grid.shape
@@ -387,9 +389,13 @@ def sample_stack(expr: Expr, grid: Grid, times, u: np.ndarray | None = None,
         env["u"] = u
     if w is not None:
         env["w"] = w
-    values = np.broadcast_to(evaluate_raw(expr, env), shape)
-    if not np.all(np.isfinite(values)):
-        k, *cell = np.argwhere(~np.isfinite(values))[0].tolist()
+    raw = evaluate_raw(expr, env)
+    values = np.broadcast_to(raw, shape)
+    if not np.all(np.isfinite(raw)):
+        # a broadcast axis reads index 0 first, so the first offending entry
+        # of the broadcast is the first of raw with its missing axes at 0
+        raw = raw.reshape((1,) * (len(shape) - raw.ndim) + raw.shape)
+        k, *cell = np.argwhere(~np.isfinite(raw))[0].tolist()
         raise NonFiniteValue(
             f"expression '{to_source(expr)}' evaluated to a non-finite value "
             f"at t={float(times[k])!r} -> cell index {tuple(cell)}"

@@ -56,10 +56,11 @@ class Kernel:
     renormalized so the window sums to exactly 1/cell_volume), ``transform``
     the real FFT of the flipped window zero-padded to n + m - 1 points along
     each grid axis (n cells, m stencil points), and ``denominators`` the
-    per-cell window mass clipped to the domain, in (0, 1].  Immutable; safe
-    to share.  A 1D kernel of at most ``DENSE_DRIFT_CELLS`` cells also has a
-    drift matrix (``drift_matrix``), built on first use and shared by every
-    kernel of the same horizon and grid.
+    per-cell window mass clipped to the domain, in (0, 1].  Immutable and
+    read-only: ``make_kernel`` hands the same instance to every caller with
+    the same horizon, domain and cell counts.  A 1D kernel of at most
+    ``DENSE_DRIFT_CELLS`` cells also has a drift matrix (``drift_matrix``),
+    built on first use and shared the same way.
     """
 
     grid: Grid
@@ -75,11 +76,27 @@ class Kernel:
 
 
 def make_kernel(ell: float, grid: Grid) -> Kernel:
-    """Kernel of horizon ell on grid; weights, transform and denominators read-only.
+    """The shared, read-only kernel of horizon ell on grid (``_shared_kernel``).
+
+    Every call with the same horizon, domain and cell counts returns the same
+    instance, so a run builds its kernel once for the solve, the first
+    window's plan and the ledger.  A horizon of at most two cells raises
+    HorizonTooSmall on every call: failures are not cached.
+    """
+    return _shared_kernel(float(ell), grid.spec, grid.n_cells)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_kernel(ell: float, spec: DomainSpec, n_cells: tuple[int, ...]) -> Kernel:
+    """The kernel of horizon ell on the grid of spec and n_cells; weights,
+    transform and denominators read-only.  Keyed on what the kernel is built
+    from, because a Grid holds arrays and is not hashable;
+    ``_shared_kernel.__wrapped__`` builds a new one.
 
     The denominators are the correlation of the all-ones density with the
     window, computed by the same FFT path as every average.
     """
+    grid = build_grid(spec, n_cells)
     if ell <= 2.0 * max(grid.dx):
         raise HorizonTooSmall(
             f"horizon {ell} must exceed twice the largest spacing {max(grid.dx)}"
@@ -165,8 +182,8 @@ def _drift_matrix(ell: float, spec: DomainSpec, n_cells: tuple[int, ...]) -> np.
     (``_average`` and the ``edge_order=2`` gradient) applied to the unit
     density at cell j.  Keyed on what the kernel is built from, because a
     Grid holds arrays and is not hashable; read-only, shared by every caller."""
-    grid = build_grid(spec, n_cells)
-    kernel = make_kernel(ell, grid)
+    kernel = _shared_kernel(ell, spec, n_cells)
+    grid = kernel.grid
     (G,) = gradient_components(_average(np.eye(grid.n_cells[0]), kernel), grid)
     G.setflags(write=False)
     return G
@@ -249,22 +266,44 @@ class HypothesisVReport:
         return max(self.div_lipschitz_quotient, self.second_derivative_quotient)
 
 
-def verify_hypothesis_v(kernel: Kernel, kappa: float, sample_fields: list[Field],
+# The pair quotients compare rows a..b-1 of the sample stack with every later
+# sample in one pass: a block holds (b - a) x (n - a - 1) differences of the
+# samples' cells, and the pairs j <= i in it are computed again.  A block
+# takes as many rows as keep rows x n x cells within PAIR_BLOCK_VALUES, and at
+# least one.  verify_hypothesis_v per call on 22 samples, one core of a 2-vCPU
+# host (ms, best of two runs; one row per block / 2**15 / 2**16 / all pairs
+# in one pass):
+#   1D 64 cells:   1.06 / 0.52 / 0.57 / 0.66
+#   1D 128 cells:  1.16 / 0.67 / 1.50 / 1.56   (2**15: blocks of 11 and 10 rows)
+#   1D 256 cells:  1.51 / 1.15 / 1.06 / 3.35
+#   1D 512 cells:  2.53 / 1.65 / 1.44 / 5.92
+#   2D 32 x 32:    5.33 / 5.58 / 6.06 / 14.5   (2**15: one row per block)
+#   2D 64 x 64:    25.7 / 24.6 / 26.3 / 51.6   (2**15, 2**16: one row per block)
+# Larger blocks lose to the repeated half of the pairs and to temporaries that
+# outgrow the cache, so 2D grids from 32 x 32 up keep one row of pairs.
+PAIR_BLOCK_VALUES = 2**15
+
+
+def verify_hypothesis_v(kernel: Kernel, kappa: float, samples: np.ndarray,
                         attract: int = 1) -> HypothesisVReport:
-    """Measure the velocity-hypothesis quotients over the given density samples.
+    """Measure the velocity-hypothesis quotients over a stack of densities.
 
-    Pairs of samples feed the Lipschitz and divergence-Lipschitz quotients;
-    a zero-mass sample with a nonzero velocity raises DegenerateSample.
+    ``samples`` has shape (n, *grid.shape), n >= 1.  Pairs of samples feed
+    the Lipschitz and divergence-Lipschitz quotients; a zero-mass sample
+    with a nonzero velocity raises DegenerateSample.
 
-    The samples are one (n, *grid.shape) stack: every per-sample quantity is
-    an axis reduction over that sample's cells alone, and the pair quotients
-    are taken one row at a time (sample i against every j > i), so memory
-    stays O(samples x cells).
+    Every per-sample quantity is an axis reduction over that sample's cells
+    alone.  The pair quotients take the stack's rows in blocks, each row
+    against every later sample, of at most ``PAIR_BLOCK_VALUES`` values of
+    rows x samples x cells or of one row: the 22 ledger samples on the
+    shipped 128 cells take two blocks, and a 2D ledger stack from 32 x 32
+    up takes one row at a time, so its memory stays O(samples x cells).
     """
-    if not sample_fields:
-        raise ValueError("need at least one sample field")
     grid = kernel.grid
-    w = np.stack([f.values for f in sample_fields])
+    w = np.asarray(samples, dtype=float)
+    if w.ndim != grid.dim + 1 or w.shape[1:] != grid.shape or not len(w):
+        raise ValueError(f"need a stack of shape (n >= 1, *{grid.shape}), got {w.shape}")
+    n = len(w)
     vel = drift_velocity(w, kernel, kappa, attract)  # (n, dim, *grid.shape)
     masses = l1_norms(w, grid)
     speeds = linf_norms(np.sqrt(np.sum(vel**2, axis=1)), grid)
@@ -277,7 +316,7 @@ def verify_hypothesis_v(kernel: Kernel, kappa: float, sample_fields: list[Field]
         )
     # firsts[j][:, k] = d v_k / d x_j; worst = max over j, k, i of |d_i d_j v_k|
     firsts = gradient_components(vel, grid)
-    grads = np.zeros(len(w))
+    grads = np.zeros(n)
     worst = np.zeros(w.shape)
     for g in firsts:
         grads = np.maximum(grads, _sample_max(g))
@@ -291,24 +330,31 @@ def verify_hypothesis_v(kernel: Kernel, kappa: float, sample_fields: list[Field]
     grad_q = _max_quotient(grads, masses, kept)
     second_q = _max_quotient(l1_norms(worst, grid), masses, kept)
     lips_q = div_q = 0.0
-    for i in range(len(w) - 1):
-        dw = l1_norms(w[i] - w[i + 1:], grid)
+    rows = max(1, PAIR_BLOCK_VALUES // (n * grid.total_cells))
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        # pairs (i, j) for i in a..b-1 and j in a+1..n-1: a pair j < i repeats
+        # the quotients of (j, i) exactly, and j = i has dw = 0
+        dw = l1_norms(w[a:b, None] - w[None, a + 1:], grid)
         apart = dw > 0.0
-        lips_q = max(lips_q, _max_quotient(_sample_max(vel[i] - vel[i + 1:]), dw, apart))
-        div_q = max(div_q, _max_quotient(linf_norms(div[i] - div[i + 1:], grid), dw, apart))
+        dv = _sample_max(vel[a:b, None] - vel[None, a + 1:], lead=2)
+        ddiv = linf_norms(div[a:b, None] - div[None, a + 1:], grid)
+        lips_q = max(lips_q, _max_quotient(dv, dw, apart))
+        div_q = max(div_q, _max_quotient(ddiv, dw, apart))
     return HypothesisVReport(
         speed_quotient=speed_q,
         gradient_quotient=grad_q,
         lipschitz_quotient=lips_q,
         div_lipschitz_quotient=div_q,
         second_derivative_quotient=second_q,
-        n_samples=len(sample_fields),
+        n_samples=n,
     )
 
 
-def _sample_max(values: np.ndarray) -> np.ndarray:
-    """max |entry| of each sample of a stack, over all its other axes."""
-    return np.max(np.abs(values).reshape(len(values), -1), axis=1)
+def _sample_max(values: np.ndarray, lead: int = 1) -> np.ndarray:
+    """max |entry| over all but the ``lead`` leading axes: per sample of a
+    stack, or per pair of a (rows, later, ...) block with lead=2."""
+    return np.max(np.abs(values).reshape(values.shape[:lead] + (-1,)), axis=-1)
 
 
 def _max_quotient(num: np.ndarray, den: np.ndarray, kept: np.ndarray) -> float:

@@ -115,3 +115,23 @@ def test_run_job_passes_the_benchmark_gate(bench_runner, kind, traced, short_sce
                                None, 1e-5)
     assert job["error"] is None
     assert job["problems"] == []
+
+
+# Workload seeds besides the reference seed 0, which the gate tests above and
+# the reference test cover; each job runs its workload's full horizon.
+SWEEP_SEEDS = (1, 2)
+
+
+@pytest.mark.parametrize("workload", ["pp1d-long", "lipschitz-1d"])
+def test_workload_seeds_pass_the_benchmark_gate(bench_runner, workload, tmp_path):
+    # one untraced job per seed, through the runner's own call_job and gate:
+    # no unconverged window, no failed positivity audit or ledger
+    import predprey.cli as cli
+
+    shipped = Path(ROOT, bench_runner.SHIPPED).read_text()
+    kind = bench_runner.WORKLOADS[workload].command
+    for seed in SWEEP_SEEDS:
+        scenario = tmp_path / f"{workload}-s{seed}.ini"
+        scenario.write_text(bench_runner.scenario_text(workload, seed, shipped))
+        probe = bench_runner.call_job(cli, kind, scenario, tmp_path / "out", False)
+        assert bench_runner.gate(kind, probe, None, 0.0) == [], (workload, seed)

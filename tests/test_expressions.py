@@ -136,6 +136,18 @@ def test_sample_stack_nonfinite_message_prints_plain_time():
                               f"non-finite value at t=0.0 -> cell index (2,)")
 
 
+@pytest.mark.parametrize("src", ["1/(x-0.53125)", "t/(x-0.53125)"], ids=["no_t", "t"])
+def test_sample_stack_nonfinite_message_names_first_time_and_cell(src):
+    # without t the evaluation is one row broadcast to every time (stride 0);
+    # the check reads that row and names the same first offending entry
+    g = build_grid(DomainSpec(((0.0, 1.0),)), 16)
+    tree = ex.parse(src, ex.Slot.SOURCE_A)
+    with pytest.raises(ex.NonFiniteValue) as err:
+        ex.sample_stack(tree, g, np.array([0.0, 0.5, 1.0]))
+    assert str(err.value) == (f"expression '{ex.to_source(tree)}' evaluated to a "
+                              f"non-finite value at t=0.0 -> cell index (8,)")
+
+
 def _random_identifier(rng):
     letters = "abcdefghijklmnopqrstuvwxyz"
     name = "".join(rng.choice(list(letters)) for _ in range(rng.integers(1, 6)))

@@ -4,7 +4,10 @@
 quotients over stacks of samples.  The loops below are the earlier
 implementations, one velocity, divergence and scalar evaluation at a time;
 both sides must agree exactly (``==``, no tolerance), except the 1D
-velocity quotients (``assert_reports_match``).
+velocity quotients (``assert_reports_match``).  ``hypothesis_v_rows`` is
+``verify_hypothesis_v`` as it stood before its pair quotients went to row
+blocks: the same stacked velocity, one row of pairs at a time, over a list
+of Fields; the blocked version must match it exactly in 1D and 2D.
 """
 
 import os
@@ -13,14 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import predprey.velocity as velocity_module
 from predprey import expressions as ex
 from predprey.coupling import (_smooth_sample_fields, estimate_coefficient_lipschitz,
                                solve_coupled)
-from predprey.grid import (Field, divergence, gradient_components, norm_l1, norm_linf,
-                           zeros)
+from predprey.grid import (Field, divergence, gradient_components, l1_norms, linf_norms,
+                           norm_l1, norm_linf, zeros)
 from predprey.scenario_io import load_scenario, parse_scenario_text
-from predprey.velocity import (DegenerateSample, HypothesisVReport, make_kernel,
-                               velocity, verify_hypothesis_v)
+from predprey.velocity import (DegenerateSample, HypothesisVReport, drift_velocity,
+                               make_kernel, velocity, verify_hypothesis_v)
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "predator_prey.ini")
 
@@ -90,6 +94,65 @@ def hypothesis_v_loop(kernel, kappa, sample_fields, attract=1):
             )
             div_q = max(div_q, ddiv / dw)
     return HypothesisVReport(speed_q, grad_q, lips_q, div_q, second_q, len(sample_fields))
+
+
+def _sample_max(values):
+    return np.max(np.abs(values).reshape(len(values), -1), axis=1)
+
+
+def _max_quotient(num, den, kept):
+    return float(np.max(num[kept] / den[kept], initial=0.0))
+
+
+def hypothesis_v_rows(kernel, kappa, sample_fields, attract=1):
+    """The stacked velocity of a list of Fields, pair quotients one row of
+    pairs at a time (sample i against every j > i)."""
+    if not sample_fields:
+        raise ValueError("need at least one sample field")
+    grid = kernel.grid
+    w = np.stack([f.values for f in sample_fields])
+    vel = drift_velocity(w, kernel, kappa, attract)
+    masses = l1_norms(w, grid)
+    speeds = linf_norms(np.sqrt(np.sum(vel**2, axis=1)), grid)
+    zero_mass = masses <= 0.0
+    degenerate = np.flatnonzero(zero_mass & (speeds > 1e-12))
+    if degenerate.size:
+        raise DegenerateSample(
+            f"zero-mass sample with velocity max {float(speeds[degenerate[0]])}; "
+            "contradicts the speed bound"
+        )
+    firsts = gradient_components(vel, grid)
+    grads = np.zeros(len(w))
+    worst = np.zeros(w.shape)
+    for g in firsts:
+        grads = np.maximum(grads, _sample_max(g))
+        for gg in gradient_components(g, grid):
+            worst = np.maximum(worst, np.max(np.abs(gg), axis=1))
+    div = np.zeros(w.shape)
+    for k in range(grid.dim):
+        div += firsts[k][:, k]
+    kept = ~zero_mass
+    speed_q = _max_quotient(speeds, masses, kept)
+    grad_q = _max_quotient(grads, masses, kept)
+    second_q = _max_quotient(l1_norms(worst, grid), masses, kept)
+    lips_q = div_q = 0.0
+    for i in range(len(w) - 1):
+        dw = l1_norms(w[i] - w[i + 1:], grid)
+        apart = dw > 0.0
+        lips_q = max(lips_q, _max_quotient(_sample_max(vel[i] - vel[i + 1:]), dw, apart))
+        div_q = max(div_q, _max_quotient(linf_norms(div[i] - div[i + 1:], grid), dw, apart))
+    return HypothesisVReport(speed_q, grad_q, lips_q, div_q, second_q, len(sample_fields))
+
+
+def assert_matches_row_loop(kernel, kappa, samples, attract=1):
+    """verify_hypothesis_v on the stack, every quotient == the row loop's."""
+    got = verify_hypothesis_v(kernel, kappa, samples, attract)
+    want = hypothesis_v_rows(kernel, kappa, [Field(kernel.grid, row) for row in samples],
+                             attract)
+    for name in QUOTIENTS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got == want
+    return got
 
 
 def coefficient_lipschitz_loop(scenario, trace, n_samples=200, drop=(), dropped=None):
@@ -183,16 +246,43 @@ def shipped_2d():
     return scenario, solve_coupled(scenario)
 
 
+def ledger_samples(scenario, trace):
+    rows = trace.w.values[:: max(1, len(trace.times) // 12)]
+    return _smooth_sample_fields(trace.grid, rows, scenario.seed)
+
+
 def test_hypothesis_v_ledger_samples(shipped):
     scenario, trace = shipped
     grid = trace.grid
     kernel = make_kernel(scenario.ell, grid)
-    rows = trace.w.values[:: max(1, len(trace.times) // 12)]
-    samples = _smooth_sample_fields(grid, [Field(grid, w) for w in rows], scenario.seed)
+    samples = ledger_samples(scenario, trace)
     assert len(samples) == 22
-    got = verify_hypothesis_v(kernel, scenario.kappa, samples, scenario.attract)
-    assert_reports_match(got, hypothesis_v_loop(kernel, scenario.kappa, samples,
+    got = assert_matches_row_loop(kernel, scenario.kappa, samples, scenario.attract)
+    assert_reports_match(got, hypothesis_v_loop(kernel, scenario.kappa,
+                                                [Field(grid, w) for w in samples],
                                                 scenario.attract))
+
+
+def duplicate_samples(trace):
+    """Zero-mass samples and a repeated one: pairs with dw = 0."""
+    zero, w = np.zeros(trace.grid.shape), trace.w.values
+    return np.stack([zero, w[-1], w[0], w[-1], zero])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 21])
+@pytest.mark.parametrize("case", ["ledger", "duplicates"])
+def test_hypothesis_v_row_blocks(shipped, monkeypatch, rows, case):
+    # blocks of 1, 2 or 5 rows (a ragged last block) and one block for all
+    # rows give the quotients of the default blocks and of the row loop
+    scenario, trace = shipped
+    kernel = make_kernel(scenario.ell, trace.grid)
+    samples = (ledger_samples(scenario, trace) if case == "ledger"
+               else duplicate_samples(trace))
+    default = verify_hypothesis_v(kernel, scenario.kappa, samples, scenario.attract)
+    per_row = len(samples) * trace.grid.total_cells
+    monkeypatch.setattr(velocity_module, "PAIR_BLOCK_VALUES", rows * per_row)
+    got = assert_matches_row_loop(kernel, scenario.kappa, samples, scenario.attract)
+    assert got == default
 
 
 @pytest.mark.parametrize("attract", [1, -1])
@@ -200,9 +290,10 @@ def test_hypothesis_v_2d(shipped_2d, attract):
     scenario, trace = shipped_2d
     grid = trace.grid
     kernel = make_kernel(scenario.ell, grid)
-    samples = _smooth_sample_fields(grid, [Field(grid, w) for w in trace.w.values[::3]], 4)
-    got = verify_hypothesis_v(kernel, scenario.kappa, samples, attract)
-    assert got == hypothesis_v_loop(kernel, scenario.kappa, samples, attract)
+    samples = _smooth_sample_fields(grid, trace.w.values[::3], 4)
+    got = assert_matches_row_loop(kernel, scenario.kappa, samples, attract)
+    assert got == hypothesis_v_loop(kernel, scenario.kappa, [Field(grid, w) for w in samples],
+                                    attract)
     assert got.lipschitz_quotient > 0 and got.div_lipschitz_quotient > 0
 
 
@@ -210,14 +301,24 @@ def test_hypothesis_v_skips_zero_mass_and_zero_distance(shipped):
     scenario, trace = shipped
     grid = trace.grid
     kernel = make_kernel(scenario.ell, grid)
-    w = Field(grid, trace.w.values[-1])
-    samples = [zeros(grid), w, Field(grid, trace.w.values[0]), w, zeros(grid)]
-    got = verify_hypothesis_v(kernel, scenario.kappa, samples)
-    assert_reports_match(got, hypothesis_v_loop(kernel, scenario.kappa, samples))
-    only_zero = [zeros(grid), zeros(grid)]
-    got = verify_hypothesis_v(kernel, scenario.kappa, only_zero)
-    assert got == hypothesis_v_loop(kernel, scenario.kappa, only_zero)
+    samples = duplicate_samples(trace)
+    got = assert_matches_row_loop(kernel, scenario.kappa, samples)
+    assert_reports_match(got, hypothesis_v_loop(kernel, scenario.kappa,
+                                                [Field(grid, row) for row in samples]))
+    only_zero = np.zeros((2,) + grid.shape)
+    got = assert_matches_row_loop(kernel, scenario.kappa, only_zero)
+    assert got == hypothesis_v_loop(kernel, scenario.kappa, [zeros(grid), zeros(grid)])
     assert got.k_v == got.c_v == 0.0
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_hypothesis_v_single_sample(shipped, row):
+    # one sample has no pairs: both pair quotients are 0
+    scenario, trace = shipped
+    kernel = make_kernel(scenario.ell, trace.grid)
+    got = assert_matches_row_loop(kernel, scenario.kappa, trace.w.values[row][None])
+    assert got.n_samples == 1
+    assert got.lipschitz_quotient == got.div_lipschitz_quotient == 0.0
 
 
 @pytest.mark.parametrize("alpha,beta", [
@@ -313,9 +414,8 @@ def test_smooth_sample_fields_match_scalar_draws(fixture, request):
     # one array draw of every bump parameter gives the scalar draws' doubles
     scenario, trace = request.getfixturevalue(fixture)
     grid = trace.grid
-    base = [Field(grid, trace.w.values[-1])]
-    got = _smooth_sample_fields(grid, base, scenario.seed)
-    want = smooth_sample_fields_loop(grid, base, scenario.seed)
+    got = _smooth_sample_fields(grid, trace.w.values[-1:], scenario.seed)
+    want = smooth_sample_fields_loop(grid, [Field(grid, trace.w.values[-1])], scenario.seed)
     assert len(got) == len(want) == 10
     for g, w in zip(got, want):
-        assert np.array_equal(g.values, w.values)
+        assert np.array_equal(g, w.values)

@@ -42,8 +42,32 @@ def kernel64():
 
 
 def test_horizon_too_small():
-    with pytest.raises(HorizonTooSmall):
-        make_kernel(0.01, grid1d(64))
+    # raised on every call: the shared-kernel cache keeps no failure
+    for _ in range(2):
+        with pytest.raises(HorizonTooSmall):
+            make_kernel(0.01, grid1d(64))
+
+
+def test_kernel_is_shared_per_horizon_domain_and_cells():
+    k = make_kernel(0.25, grid1d(64))
+    assert make_kernel(0.25, grid1d(64)) is k
+    assert make_kernel(np.float64(0.25), build_grid(DomainSpec(((0.0, 1.0),)), (64,))) is k
+    assert make_kernel(0.2, grid1d(64)) is not k
+    assert make_kernel(0.25, grid1d(65)) is not k
+    assert make_kernel(0.25, build_grid(DomainSpec(((0.0, 2.0),)), 64)) is not k
+    square = build_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), 32)
+    assert make_kernel(0.25, square) is make_kernel(0.25, square)
+    assert make_kernel(0.25, square) is not make_kernel(0.25, build_grid(square.spec, (32, 33)))
+
+
+@pytest.mark.parametrize("grid", [grid1d(64), build_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), 24)],
+                         ids=["1d", "2d"])
+def test_shared_kernel_arrays_are_read_only(grid):
+    k = make_kernel(0.25, grid)
+    for values in (k.weights, k.transform, k.denominators, *k.grid.axis_centers):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values.flat[0] = 1.0
 
 
 def test_profile_is_nonincreasing_with_flat_start(kernel64):
@@ -88,10 +112,14 @@ def test_closed_form_normalization_matches_quadrature(dim):
 
 @pytest.mark.parametrize("n", [96, 128])
 def test_shipped_kernel_bits_match_quadrature_kernel(n, monkeypatch):
-    # ell = 0.25 on the shipped 1D grids: the closed form changes no bit
+    # ell = 0.25 on the shipped 1D grids: the closed form changes no bit.  The
+    # oracle is built uncached: make_kernel would return the shared kernel
+    # built with the closed form.
     kernel = make_kernel(0.25, grid1d(n))
     monkeypatch.setattr(velocity_module, "_normalization", quad_normalization)
-    oracle = make_kernel(0.25, grid1d(n))
+    oracle = velocity_module._shared_kernel.__wrapped__(0.25, kernel.grid.spec, (n,))
+    assert oracle is not kernel
+    assert oracle.ell_bar == quad_normalization(0.25, 1)
     assert np.array_equal(kernel.weights, oracle.weights)
     assert np.array_equal(kernel.denominators, oracle.denominators)
 
@@ -273,7 +301,7 @@ def test_velocity_2d_speed_cap():
 
 
 def test_hypothesis_v_zero_sample(kernel64):
-    rep = verify_hypothesis_v(kernel64, 1.0, [zeros(kernel64.grid)])
+    rep = verify_hypothesis_v(kernel64, 1.0, np.zeros((1,) + kernel64.grid.shape))
     assert rep.k_v == 0.0
     assert rep.c_v == 0.0
 
@@ -281,9 +309,8 @@ def test_hypothesis_v_zero_sample(kernel64):
 def test_hypothesis_v_proportional_fields(kernel64):
     g = kernel64.grid
     x = g.axis_centers[0]
-    w = Field(g, np.exp(-40 * (x - 0.5) ** 2))
-    w2 = Field(g, 2.0 * w.values)
-    rep = verify_hypothesis_v(kernel64, 1.0, [w, w2])
+    w = np.exp(-40 * (x - 0.5) ** 2)
+    rep = verify_hypothesis_v(kernel64, 1.0, np.stack([w, 2.0 * w]))
     assert np.isfinite(rep.lipschitz_quotient)
     assert rep.lipschitz_quotient > 0
 
@@ -296,8 +323,8 @@ def test_hypothesis_v_random_suite(kernel64):
     for _ in range(20):
         c0 = rng.uniform(0.2, 0.8)
         width = rng.uniform(10, 60)
-        samples.append(Field(g, rng.uniform(0.1, 1.0) * np.exp(-width * (x - c0) ** 2)))
-    rep = verify_hypothesis_v(kernel64, 1.0, samples)
+        samples.append(rng.uniform(0.1, 1.0) * np.exp(-width * (x - c0) ** 2))
+    rep = verify_hypothesis_v(kernel64, 1.0, np.stack(samples))
     assert rep.k_v > 0
     assert rep.c_v > 0
     assert rep.n_samples == 20
@@ -310,10 +337,10 @@ def test_degenerate_sample_raises():
     # so fabricate one by monkeypatching is overkill; assert the guard directly
     g = grid1d(64)
     k = make_kernel(0.25, g)
-    rep = verify_hypothesis_v(k, 1.0, [zeros(g)])
+    rep = verify_hypothesis_v(k, 1.0, np.zeros((1,) + g.shape))
     assert rep.speed_quotient == 0.0
     with pytest.raises(ValueError):
-        verify_hypothesis_v(k, 1.0, [])
+        verify_hypothesis_v(k, 1.0, np.zeros((0,) + g.shape))
 
 
 # The 1D drift matrix against the FFT path, which stays its oracle.  The
@@ -375,7 +402,7 @@ def test_dense_drift_of_zero_density_is_exactly_zero():
         assert comps.shape == shape + (1,) + g.shape
         assert np.all(comps == 0.0)
     # so a zero-mass sample passes the DegenerateSample guard
-    rep = verify_hypothesis_v(k, 0.5, [zeros(g), zeros(g)])
+    rep = verify_hypothesis_v(k, 0.5, np.zeros((2,) + g.shape))
     assert rep.speed_quotient == 0.0
 
 
