@@ -13,15 +13,16 @@ import argparse
 
 import numpy as np
 
-from predprey.grid import (DomainSpec, Field, build_grid, divergence, gradient_components,
-                           norm_l1, norm_linf, total_variation)
+from predprey.grid import (DomainSpec, build_grid, divergences, gradient_components,
+                           l1_norms, linf_norms, total_variations)
 from predprey.parabolic import ParabolicProblem, Scheme, solve_parabolic
 from predprey.series import constant
 from predprey.transport import TransportProblem, solve_hyperbolic
-from predprey.velocity import make_kernel, velocity
+from predprey.velocity import drift_velocity, make_kernel
 
 
 def random_field(grid, rng, amplitude=1.0, nonneg=False):
+    """Three random Gaussian bumps summed, shape grid.shape."""
     mesh = grid.centers()
     vals = np.zeros(grid.shape)
     for _ in range(3):
@@ -34,7 +35,7 @@ def random_field(grid, rng, amplitude=1.0, nonneg=False):
         vals += amp * bump
     if nonneg:
         vals = np.abs(vals)
-    return Field(grid, vals)
+    return vals
 
 
 def parabolic_quotients(seed: int, count: int) -> list[float]:
@@ -49,16 +50,16 @@ def parabolic_quotients(seed: int, count: int) -> list[float]:
         B = random_field(grid, rng, amplitude=2.0)
         b = random_field(grid, rng, nonneg=True)
         T = rng.uniform(0.05, 0.3)
-        b_sup = norm_linf(B)
+        b_sup = float(linf_norms(B, grid))
         dt = min(0.5 / (b_sup + 1e-9), T / 20)
-        problem = ParabolicProblem(grid, mu, constant(B.values), constant(b.values), w0)
+        problem = ParabolicProblem(grid, mu, constant(B), constant(b), w0)
         trace = solve_parabolic(problem, T, Scheme("implicit_euler", dt))
         times = trace.times
         for i in range(1, len(times)):
             t = times[i]
-            base = total_variation(w0) + t * total_variation(b)
+            base = total_variations(w0, grid) + t * total_variations(b, grid)
             denom = (np.sqrt(t) * b_sup
-                     * (norm_l1(w0) + t * norm_l1(b)) * np.exp(b_sup * t))
+                     * (l1_norms(w0, grid) + t * l1_norms(b, grid)) * np.exp(b_sup * t))
             if denom > 1e-12:
                 quotients.append((trace.tv[i] - base) / denom)
     return quotients
@@ -74,28 +75,27 @@ def hyperbolic_quotients(seed: int, count: int) -> list[float]:
         kernel = make_kernel(rng.uniform(0.15, 0.3), grid)
         w = random_field(grid, rng, nonneg=True)
         kappa = rng.uniform(0.2, 1.0)
-        c = velocity(w, kernel, kappa)
+        c = drift_velocity(w, kernel, kappa)
         u0 = random_field(grid, rng, nonneg=True)
         A = random_field(grid, rng, amplitude=1.5)
         a = random_field(grid, rng, nonneg=True)
         T = rng.uniform(0.05, 0.3)
-        cmax = float(np.max(np.abs(c.components)))
+        cmax = float(np.max(np.abs(c)))
         dt = 0.45 * min(grid.dx) / max(cmax, 1e-9)
-        dt = min(dt, 0.25 / (norm_linf(A) + 1e-9), T / 10)
-        problem = TransportProblem(grid, constant(c.components), constant(A.values),
-                                   constant(a.values), u0)
+        dt = min(dt, 0.25 / (float(linf_norms(A, grid)) + 1e-9), T / 10)
+        problem = TransportProblem(grid, constant(c), constant(A), constant(a), u0)
         trace = solve_hyperbolic(problem, T, dt)
-        div = divergence(c)
+        div = divergences(c, grid)
         grad_div_l1 = float(np.sum(np.abs(
-            gradient_components(div.values, grid)[0])) * grid.cell_volume)
-        dxc = float(np.max(np.abs(gradient_components(c.components[0], grid)[0])))
-        a_sup, a_tv, a_l1 = norm_linf(a), total_variation(a), norm_l1(a)
-        A_sup, A_tv = norm_linf(A), total_variation(A)
-        u0_sup = norm_linf(u0)
+            gradient_components(div, grid)[0])) * grid.cell_volume)
+        dxc = float(np.max(np.abs(gradient_components(c[0], grid)[0])))
+        a_sup, a_tv = float(linf_norms(a, grid)), float(total_variations(a, grid))
+        A_sup, A_tv = float(linf_norms(A, grid)), float(total_variations(A, grid))
+        u0_sup = float(linf_norms(u0, grid))
         for i in range(1, len(trace.times)):
             t = trace.times[i]
             growth = np.exp((A_sup + dxc) * t)
-            bracket_rest = (total_variation(u0) + t * a_tv
+            bracket_rest = (total_variations(u0, grid) + t * a_tv
                             + (u0_sup + t * a_sup) * t * (A_tv + grad_div_l1))
             if u0_sup > 1e-12:
                 quotients.append((trace.tv[i] / growth - bracket_rest) / u0_sup)

@@ -8,17 +8,16 @@ and turns the underlying stability and a-priori estimates into executable
 checks (see the bounds ledger in :mod:`predprey.coupling`).
 """
 
-from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, divergence,
-                   interp_field, norm_l1, norm_linf, total_variation)
+from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, divergences,
+                   interp_values, l1_norms, linf_norms, total_variations)
 from .expressions import Slot, evaluate, parse, sample_field, to_source
 from .velocity import Kernel, make_kernel, modified_convolution, verify_hypothesis_v
 from .parabolic import (ParabolicProblem, Scheme, check_parabolic_bounds,
                         duhamel_reference, green_interval, heat_kernel,
                         solve_parabolic, step_parabolic)
 from .transport import (CharPath, TransportProblem, characteristics_solution_field,
-                        check_hyperbolic_bounds, eval_characteristics_solution,
-                        exponential_weight, fv_upwind_step, solve_hyperbolic,
-                        trace_characteristic)
+                        check_hyperbolic_bounds, exponential_weight, fv_upwind_step,
+                        solve_hyperbolic, trace_characteristic)
 from .coupling import (BoundsReport, CoupledTrace, Scenario, compute_bounds_report,
                        lipschitz_in_data_experiment, picard_window, positivity_audit,
                        solve_coupled, stability_in_controls_experiment)

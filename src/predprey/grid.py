@@ -137,17 +137,6 @@ class VectorField:
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.components**2, axis=0))
-
-
-def zeros(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
-def full(grid: Grid, value: float) -> Field:
-    return Field(grid, np.full(grid.shape, float(value)))
-
 
 def require_finite(values: np.ndarray, what: str = "field") -> None:
     """Raise NonFiniteField when grid data holds inf or nan."""
@@ -211,20 +200,6 @@ def total_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
     return tv_x * dy + tv_y * dx
 
 
-def norm_l1(f: Field) -> float:
-    """Cell-volume weighted sum of |f|; discrete L1(Omega) norm."""
-    return float(l1_norms(f.values, f.grid))
-
-
-def norm_linf(f: Field) -> float:
-    return float(linf_norms(f.values, f.grid))
-
-
-def total_variation(f: Field) -> float:
-    """Discrete total variation with jumps to the exterior value 0 (see total_variations)."""
-    return float(total_variations(f.values, f.grid))
-
-
 def interior_variations(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Variation per field of a stack over the open domain only, no exterior jumps.
 
@@ -268,10 +243,6 @@ def interp_values(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndar
             + (1 - fx) * fy * v01 + fx * fy * v11)
 
 
-def interp_field(f: Field, points: np.ndarray) -> np.ndarray:
-    return interp_values(f.grid, f.values, points)
-
-
 def gradient_components(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Per-axis derivative by central differences, one-sided at the boundary.
 
@@ -289,8 +260,3 @@ def divergences(values: np.ndarray, grid: Grid) -> np.ndarray:
     axis = values.ndim - grid.dim - 1
     return sum(gradient_components(np.take(values, k, axis=axis), grid)[k]
                for k in range(grid.dim))
-
-
-def divergence(vf: VectorField) -> Field:
-    """Discrete divergence of a sampled velocity field."""
-    return Field(vf.grid, divergences(vf.components, vf.grid))

@@ -54,7 +54,7 @@ class ParabolicProblem:
     mu: float
     B: Series | None  # reaction coefficient, may be None for 0
     b: Series | None  # source, may be None for 0
-    w0: Field
+    w0: np.ndarray    # the datum, shape grid.shape
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -116,13 +116,14 @@ def _sine_matrix(grid: Grid, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
-                      n_time: int = 64) -> Field:
+                      n_time: int = 64) -> np.ndarray:
     """Quadrature of the Green-function representation, 1D, B = 0 only.
 
     w(t,x) = int G(t,0,x,y) w0(y) dy + int_0^t int G(t,tau,x,y) b(tau,y) dy dtau,
     with midpoint quadrature in y (the grid cells) and composite Simpson in tau
     on ``n_time`` intervals of any count (``series.cumulative_simpson``).
     Fully independent of the time stepper; serves as its accuracy oracle.
+    Returns the values at the cell centers, shape grid.shape.
     """
     if problem.grid.dim != 1:
         raise Requires1D("the Green-function oracle is implemented on intervals only")
@@ -135,7 +136,7 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
     length = hi - lo
     decay = np.exp(-problem.mu * freq**2 * t)
     # modal coefficients of w0 by midpoint quadrature
-    w0_hat = (2.0 / length) * (s.T @ problem.w0.values) * vol
+    w0_hat = (2.0 / length) * (s.T @ problem.w0) * vol
     out = s @ (decay * w0_hat)
     if problem.b is not None and t > 0:
         taus = np.linspace(0.0, t, n_time + 1)
@@ -148,7 +149,7 @@ def duhamel_reference(problem: ParabolicProblem, t: float, n_terms: int = 200,
         kernel = np.exp(-problem.mu * freq[None, :] ** 2 * (t - taus)[:, None])
         mode_integrals = cumulative_simpson(kernel * b_hat, taus)[-1]
         out = out + s @ mode_integrals
-    return Field(grid, out)
+    return out
 
 
 def _dirichlet_laplacian_1d(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -318,7 +319,7 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
 
     Step k uses B[k], b[k] (either may be None for 0) and dts[k]; returns
     every state, shape (len(dts)+1, *grid.shape), unchecked: the caller
-    validates them (a Trace or Field does, or ``require_finite``).
+    validates them (a Trace does, or ``require_finite``).
     Backward Euler in 2D uses sequential fully implicit sweeps (keeps the
     sign-preservation argument of the 1D solve); the trapezoidal scheme
     uses the Douglas splitting, second order in space with a first-order
@@ -379,6 +380,8 @@ def march_imex(w0: np.ndarray, B: np.ndarray | None, b: np.ndarray | None,
 def step_parabolic(w: Field, B_t: Field | None, b_t: Field | None, mu: float,
                    scheme: Scheme) -> Field:
     """One IMEX step of size scheme.dt (see march_imex)."""
+    # the benchmark (perfbench/) wraps and counts this name, so it can go only
+    # once a benchmark change (ROADMAP item 4) has moved its tracer and gate
     states = march_imex(w.values, None if B_t is None else B_t.values[None],
                         None if b_t is None else b_t.values[None],
                         np.array([scheme.dt]), mu, scheme.kind, w.grid)
@@ -396,7 +399,7 @@ def solve_parabolic(problem: ParabolicProblem, T: float, scheme: Scheme,
     times = step_times(T, scheme.dt, t_start)
     t_coeff = coefficient_times(times, scheme.kind)
     states = march_imex(
-        problem.w0.values,
+        problem.w0,
         at_times(problem.B, t_coeff), at_times(problem.b, t_coeff),
         step_sizes(times, scheme.dt), problem.mu, scheme.kind, problem.grid,
     )
@@ -475,6 +478,6 @@ def weak_residual_parabolic(trace: Trace, problem: ParabolicProblem,
     measures solver plus quadrature error and must shrink under refinement.
     """
     lap = np.stack([tf.space_laplacian(problem.grid) for tf in test_functions])
-    return weak_residuals(trace, problem.w0.values, test_functions,
+    return weak_residuals(trace, problem.w0, test_functions,
                           [(trace.values, problem.mu * lap)],
                           at_times(problem.B, trace.times), at_times(problem.b, trace.times))

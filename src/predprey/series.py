@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (Field, Grid, GridError, l1_norms, linf_norms, require_finite,
-                   total_variations)
+from .grid import Grid, GridError, l1_norms, linf_norms, require_finite, total_variations
 
 log = logging.getLogger(__name__)
 
@@ -113,9 +112,6 @@ class Trace:
     @cached_property
     def tv(self) -> np.ndarray:
         return total_variations(self.values, self.grid)
-
-    def final(self) -> Field:
-        return Field(self.grid, self.values[-1])
 
 
 def step_times(T: float, dt: float, t_start: float = 0.0) -> np.ndarray:

@@ -28,8 +28,7 @@ import numpy as np
 
 from .calibration import TV_CONST_HYPERBOLIC
 from .grid import (Field, Grid, VectorField, divergences, gradient_components,
-                   interp_field, interp_values, l1_norms, linf_norms, require_finite,
-                   total_variations)
+                   interp_values, l1_norms, linf_norms, require_finite, total_variations)
 from .series import (InequalityCheck, Series, Trace, at_times, cumulative_left_riemann,
                      cumulative_simpson, difference, grade, integrated_norms, step_times)
 from .testfunctions import SineTestFunction, weak_residuals
@@ -45,7 +44,7 @@ class TransportProblem:
     c: Series             # (n, dim, *grid.shape) stacks
     A: Series | None      # reaction coefficient, None for 0
     a: Series | None      # source, None for 0
-    u0: Field
+    u0: np.ndarray        # the datum, shape grid.shape
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if t <= 0:
-        return interp_field(problem.u0, pts)
+        return interp_values(problem.grid, problem.u0, pts)
     paths = _BackwardPaths(problem.c, problem.grid, t, pts, dt_ode)
     s = paths.times                       # ascending, (S+1,)
     X = paths.positions                   # (S+1, m, dim)
@@ -219,7 +218,8 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     cum_ae = None if a_vals is None else cumulative_simpson(a_vals * weight, s)
     interior = ~paths.exited
     values = np.zeros(pts.shape[0])
-    values[interior] = interp_field(problem.u0, X[0][interior]) * weight[0][interior]
+    values[interior] = (interp_values(problem.grid, problem.u0, X[0][interior])
+                        * weight[0][interior])
     if cum_ae is not None:
         values[interior] += cum_ae[-1][interior]
         for idx in np.nonzero(paths.exited)[0]:
@@ -237,15 +237,11 @@ def characteristics_solution_at(problem: TransportProblem, t: float,
     return values
 
 
-def eval_characteristics_solution(problem: TransportProblem, t: float, x,
-                                  dt_ode: float) -> float:
-    return float(characteristics_solution_at(problem, t, np.atleast_1d(x)[None, :], dt_ode)[0])
-
-
 def characteristics_solution_field(problem: TransportProblem, t: float,
-                                   dt_ode: float) -> Field:
+                                   dt_ode: float) -> np.ndarray:
+    """The oracle at every cell center, shape grid.shape."""
     vals = characteristics_solution_at(problem, t, problem.grid.center_points(), dt_ode)
-    return Field(problem.grid, vals.reshape(problem.grid.shape))
+    return vals.reshape(problem.grid.shape)
 
 
 def _axis_stencils(c_axis: np.ndarray, ratios: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -286,8 +282,8 @@ def march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
 
     Step k uses c[k] (dim, *grid.shape), A[k], a[k] (grid.shape, either may
     be None for 0) and dts[k]; returns every state, shape (len(dts)+1,
-    *grid.shape), unchecked: the caller validates them (a Trace or Field
-    does, or ``require_finite``).
+    *grid.shape), unchecked: the caller validates them (a Trace does, or
+    ``require_finite``).
     The CFL limit is checked for all steps up front; the march stops before
     the first violating step and, once the states before it are known to be
     finite, raises CflViolation.  Every step's coefficients are built
@@ -331,6 +327,8 @@ def march_upwind(u0: np.ndarray, c: np.ndarray, A: np.ndarray | None,
 def fv_upwind_step(u: Field, c_t: VectorField, A_t: Field | None, a_t: Field | None,
                    dt: float) -> Field:
     """One dimension-split upwind step with explicit Euler source."""
+    # the benchmark (perfbench/) wraps and counts this name, so it can go only
+    # once a benchmark change (ROADMAP item 4) has moved its tracer and gate
     states = march_upwind(u.values, c_t.components[None],
                           None if A_t is None else A_t.values[None],
                           None if a_t is None else a_t.values[None],
@@ -353,7 +351,7 @@ def solve_hyperbolic(problem: TransportProblem, T: float, dt: float,
     times = step_times(T, dt, t_start)
     left = coefficient_times(times)
     states = march_upwind(
-        problem.u0.values, problem.c(left),
+        problem.u0, problem.c(left),
         at_times(problem.A, left), at_times(problem.a, left),
         np.diff(times), problem.grid,
     )

@@ -16,7 +16,7 @@ from predprey import expressions as ex
 from predprey.coupling import (compute_bounds_report, lipschitz_in_data_experiment,
                                solve_coupled, stability_in_controls_experiment,
                                window_settled)
-from predprey.grid import DomainSpec, Field, build_grid, full, norm_l1, norm_linf
+from predprey.grid import DomainSpec, Field, build_grid, l1_norms, linf_norms
 from predprey.parabolic import (ParabolicProblem, Scheme, check_parabolic_bounds,
                                 duhamel_reference, parabolic_stability_experiment,
                                 solve_parabolic, weak_residual_parabolic)
@@ -26,7 +26,7 @@ from predprey.testfunctions import default_family
 from predprey.transport import (TransportProblem, characteristics_solution_field,
                                 check_hyperbolic_bounds, solve_hyperbolic,
                                 trace_characteristic, weak_residual_hyperbolic)
-from predprey.velocity import make_kernel, modified_convolution, velocity
+from predprey.velocity import drift_velocity, make_kernel, modified_convolution
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -50,10 +50,10 @@ def test_01_modified_convolution_normalization():
     worst = 0.0
     for ell in (0.1, 0.25):
         g1 = build_grid(DomainSpec(((0.0, 1.0),)), 256)
-        out1 = modified_convolution(full(g1, 1.0), make_kernel(ell, g1))
+        out1 = modified_convolution(Field(g1, np.ones(g1.shape)), make_kernel(ell, g1))
         worst = max(worst, float(np.max(np.abs(out1.values - 1.0))))
         g2 = build_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), (64, 64))
-        out2 = modified_convolution(full(g2, 1.0), make_kernel(ell, g2))
+        out2 = modified_convolution(Field(g2, np.ones(g2.shape)), make_kernel(ell, g2))
         worst = max(worst, float(np.max(np.abs(out2.values - 1.0))))
     elapsed = time.monotonic() - start
     assert worst < 1e-9
@@ -67,11 +67,11 @@ def test_02_parabolic_oracle_accuracy():
     errors = []
     for n in (64, 128, 256):
         g = build_grid(DomainSpec(((0.0, 1.0),)), n)
-        w0 = Field(g, np.sin(np.pi * g.axis_centers[0]))
+        w0 = np.sin(np.pi * g.axis_centers[0])
         prob = ParabolicProblem(g, mu, None, None, w0)
         trace = solve_parabolic(prob, T, Scheme("crank_nicolson", 1e-3))
         ref = duhamel_reference(prob, T, n_terms=200)
-        errors.append(norm_linf(Field(g, trace.final().values - ref.values)))
+        errors.append(float(linf_norms(trace.values[-1] - ref, g)))
     order = -np.polyfit(np.log([64, 128, 256]), np.log(errors), 1)[0]
     elapsed = time.monotonic() - start
     assert errors[-1] <= 5e-4
@@ -90,12 +90,12 @@ def test_03_parabolic_bounds_and_positivity():
         n = int(rng.choice([48, 64, 96]))
         g = build_grid(DomainSpec(((0.0, 1.0),)), n)
         mu = rng.uniform(0.02, 0.3)
-        w0 = Field(g, rng.uniform(0, 1, n))
-        B = Field(g, rng.uniform(-3, 3, n))
-        b = Field(g, rng.uniform(0, 1, n))
-        prob = ParabolicProblem(g, mu, constant(B.values), constant(b.values), w0)
+        w0 = rng.uniform(0, 1, n)
+        B = rng.uniform(-3, 3, n)
+        b = rng.uniform(0, 1, n)
+        prob = ParabolicProblem(g, mu, constant(B), constant(b), w0)
         T = rng.uniform(0.05, 0.2)
-        dt = min(0.45 / (norm_linf(B) + 1e-9), T / 10)
+        dt = min(0.45 / (linf_norms(B, g) + 1e-9), T / 10)
         trace = solve_parabolic(prob, T, Scheme("implicit_euler", dt))
         for check in check_parabolic_bounds(trace, prob):
             assert check.passed
@@ -119,8 +119,8 @@ def test_04_parabolic_stability_pairs():
         n = 64
         g = build_grid(DomainSpec(((0.0, 1.0),)), n)
         mu = rng.uniform(0.02, 0.2)
-        w01 = Field(g, rng.uniform(0, 1, n))
-        w02 = Field(g, rng.uniform(0, 1, n))
+        w01 = rng.uniform(0, 1, n)
+        w02 = rng.uniform(0, 1, n)
         B1 = constant(rng.uniform(-2, 2, n))
         B2 = constant(rng.uniform(-2, 2, n))
         b1 = constant(rng.uniform(0, 1, n))
@@ -142,15 +142,15 @@ def test_05_characteristics_oracle_exactness():
     c = constant(np.ones((1, 128)))
     u0_vals = np.where((x > 0.0) & (x < 0.2),
                        np.sin(np.pi * np.clip(x / 0.2, 0, 1)) ** 2, 0.0)
-    prob = TransportProblem(g, c, None, None, Field(g, u0_vals))
+    prob = TransportProblem(g, c, None, None, u0_vals)
     t = 0.5
     out = characteristics_solution_field(prob, t, dt_ode=0.005)
     shifted = np.zeros_like(u0_vals)
     shifted[64:] = u0_vals[:64]
-    point_err = float(np.max(np.abs(out.values - shifted)))
+    point_err = float(np.max(np.abs(out - shifted)))
     assert point_err < 1e-8
     # inflow wake (boundary branch) is exactly zero
-    assert float(np.max(np.abs(out.values[x < t - 0.01]))) == 0.0
+    assert float(np.max(np.abs(out[x < t - 0.01]))) == 0.0
     # entry times: backward path from (t, x) exits at x=0 at time t - x
     entry_err = 0.0
     for xq in (0.1, 0.25, 0.4):
@@ -170,10 +170,10 @@ def test_06_fv_vs_oracle_convergence():
     for n in (64, 128, 256):
         g = build_grid(DomainSpec(((0.0, 1.0),)), n)
         x = g.axis_centers[0]
-        w = Field(g, 0.5 * np.exp(-50 * (x - 0.7) ** 2))
+        w = 0.5 * np.exp(-50 * (x - 0.7) ** 2)
         kern = make_kernel(0.25, g)
-        c = velocity(w, kern, kappa=0.5).components
-        u0 = Field(g, 0.5 * np.exp(-50 * (x - 0.3) ** 2))
+        c = drift_velocity(w, kern, kappa=0.5)
+        u0 = 0.5 * np.exp(-50 * (x - 0.3) ** 2)
         prob = TransportProblem(g, constant(c), None, None, u0)
         cmax = float(np.max(np.abs(c)))
         T = 0.4
@@ -181,7 +181,7 @@ def test_06_fv_vs_oracle_convergence():
         dt = T / max(1, int(np.ceil(T / dt)))
         fv = solve_hyperbolic(prob, T, dt)
         oracle = characteristics_solution_field(prob, T, dt_ode=dt / 2)
-        errors.append(norm_l1(Field(g, fv.final().values - oracle.values)))
+        errors.append(float(l1_norms(fv.values[-1] - oracle, g)))
         bounds = check_hyperbolic_bounds(fv, prob)
         assert all(check.passed for check in bounds)
         assert min(float(np.min(v)) for v in fv.values) >= -1e-12
@@ -249,7 +249,8 @@ def test_10_decoupling_equivalence():
     grid = scenario.grid()
     kernel = make_kernel(scenario.ell, grid)
     trace = solve_coupled(scenario)
-    u0, w0 = scenario.initial_fields(grid)
+    u0 = ex.sample_stack(scenario.u0, grid, [0.0])[0]
+    w0 = ex.sample_stack(scenario.w0, grid, [0.0])[0]
     b_series = partial(ex.sample_stack, scenario.b, grid)
     B_series = partial(ex.sample_stack, scenario.beta, grid)
     w_ref = solve_parabolic(ParabolicProblem(grid, scenario.mu, B_series, b_series, w0),
@@ -265,8 +266,8 @@ def test_10_decoupling_equivalence():
         j = int(round(t / scenario.dt))
         worst = max(
             worst,
-            norm_l1(Field(grid, trace.w.values[i] - w_ref.values[j])),
-            norm_l1(Field(grid, trace.u.values[i] - u_ref.values[j])),
+            float(l1_norms(trace.w.values[i] - w_ref.values[j], grid)),
+            float(l1_norms(trace.u.values[i] - u_ref.values[j], grid)),
         )
     elapsed = time.monotonic() - start
     assert worst < 1e-8
@@ -282,8 +283,8 @@ def test_11_weak_form_residual_refinement():
     for n in (64, 128):
         g = build_grid(DomainSpec(((0.0, 1.0),)), n)
         x = g.axis_centers[0]
-        prob = ParabolicProblem(g, 0.1, None, constant(full(g, 0.3).values),
-                                Field(g, np.exp(-60 * (x - 0.5) ** 2)))
+        prob = ParabolicProblem(g, 0.1, None, constant(np.full(g.shape, 0.3)),
+                                np.exp(-60 * (x - 0.5) ** 2))
         dt = T / (20 * n // 64)
         trace = solve_parabolic(prob, T, Scheme("crank_nicolson", dt))
         res = weak_residual_parabolic(trace, prob, default_family(T, 1))
@@ -293,10 +294,10 @@ def test_11_weak_form_residual_refinement():
     for n in (64, 128):
         g = build_grid(DomainSpec(((0.0, 1.0),)), n)
         x = g.axis_centers[0]
-        u0 = Field(g, 0.5 * np.exp(-60 * (x - 0.35) ** 2))
+        u0 = 0.5 * np.exp(-60 * (x - 0.35) ** 2)
         prob = TransportProblem(g, constant(np.full((1, n), 0.8)),
-                                constant(full(g, 0.3).values),
-                                constant(full(g, 0.1).values), u0)
+                                constant(np.full(g.shape, 0.3)),
+                                constant(np.full(g.shape, 0.1)), u0)
         trace = solve_hyperbolic(prob, T, 0.45 * min(g.dx) / 0.8)
         res = weak_residual_hyperbolic(trace, prob, default_family(T, 1))
         hyp_res.append(float(np.max(np.abs(res))))

@@ -135,3 +135,21 @@ def test_workload_seeds_pass_the_benchmark_gate(bench_runner, workload, tmp_path
         scenario.write_text(bench_runner.scenario_text(workload, seed, shipped))
         probe = bench_runner.call_job(cli, kind, scenario, tmp_path / "out", False)
         assert bench_runner.gate(kind, probe, None, 0.0) == [], (workload, seed)
+
+
+def test_setup_code_runs_in_a_fresh_interpreter(bench_runner, tmp_path):
+    # run.py times SETUP_CODE in fresh interpreters (measure_setup) with
+    # check=True, before and outside run_job's try: a failure there exits 1
+    # before any job is measured.  Run it the same way on a pp1d-long scenario.
+    import subprocess
+
+    shipped = Path(ROOT, bench_runner.SHIPPED).read_text()
+    scenario = tmp_path / "pp1d-long.ini"
+    scenario.write_text(bench_runner.scenario_text("pp1d-long", bench_runner.REFERENCE_SEED,
+                                                   shipped))
+    env = dict(os.environ, PYTHONPATH=str(bench_runner.ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", bench_runner.SETUP_CODE, str(scenario)],
+                          cwd=bench_runner.ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.splitlines()[-1]) > 0.0

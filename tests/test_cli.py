@@ -245,6 +245,22 @@ def test_solver_limit_exit_code(old, new, key, tmp_path, capsys):
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_ledger_alpha_pole_names_its_key(command, tmp_path, capsys):
+    # alpha has a pole at t = T: the solve reads alpha only at each step's
+    # left end and finishes, but the ledger's variation quotient samples it
+    # at t = T too, and must name the key like the solve does
+    text = open(SHIPPED, encoding="ascii").read()
+    for old, new in (("alpha = 1 - w", "alpha = 0.01/(0.08-t)"), ("T = 0.5", "T = 0.08")):
+        assert old in text
+        text = text.replace(old, new)
+    edited = tmp_path / "pole.ini"
+    edited.write_text(text)
+    assert main([command, "--scenario", str(edited), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [coefficients.alpha] ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("beta", ["-300", "-500"])
 def test_stiff_reaction_stops_both_schemes(scheme, beta, tmp_path, capsys):

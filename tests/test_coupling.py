@@ -17,7 +17,7 @@ from predprey.coupling import (ESTIMATE_TOL_FRACTION, PREDICTOR_DEGREE, NoContra
                                picard_window, positivity_audit, sample_keyed,
                                solve_coupled, stability_in_controls_experiment,
                                window_settled)
-from predprey.grid import DomainSpec, Field, l1_norms, norm_l1
+from predprey.grid import DomainSpec, l1_norms
 from predprey.parabolic import ParabolicProblem, solve_parabolic
 from predprey.scenario_io import load_scenario
 from predprey.series import sampled
@@ -58,6 +58,30 @@ MILD_SCENARIO = dict(
     kappa=0.1, k_alpha=0.1, k_beta=0.1,
 )
 
+
+def initial_states(s: Scenario, grid):
+    """The scenario's initial u and w, each of shape grid.shape."""
+    return (sample_keyed(s.u0, "initial.u0", grid, [0.0])[0],
+            sample_keyed(s.w0, "initial.w0", grid, [0.0])[0])
+
+
+# Window starts put in place of ``_window_start``: the window's initial
+# state held constant (picard_window's default), zero, or the prediction.
+WINDOW_STARTS = {
+    "datum": lambda u_all, w_all, step, take: None,
+    "zero": lambda u_all, w_all, step, take: (0.0, 0.0),
+    "extrapolated": _window_start,
+}
+
+
+def solve_from(monkeypatch, s: Scenario, start: str):
+    """solve_coupled with every window started from ``WINDOW_STARTS[start]``."""
+    import predprey.coupling as cp
+
+    monkeypatch.setattr(cp, "_window_start", WINDOW_STARTS[start])
+    return cp.solve_coupled(s)
+
+
 def fixed_window(size):
     """Stand-in for ``initial_window`` that plans a first window of ``size``."""
     def plan(scenario, grid, kernel):
@@ -71,20 +95,17 @@ def fixed_window_solve(s: Scenario, steps: int):
     chains them; returns the u and w stacks."""
     grid = s.grid()
     kernel = make_kernel(s.ell, grid)
-    u_cur, w_cur = s.initial_fields(grid)
     total = round(s.horizon / s.dt)
     u_all = np.empty((total + 1,) + grid.shape)
     w_all = np.empty_like(u_all)
-    u_all[0], w_all[0] = u_cur.values, w_cur.values
+    u_all[0], w_all[0] = initial_states(s, grid)
     for step in range(0, total, steps):
         take = min(steps, total - step)
-        u_tr, w_tr, _ = picard_window(s, grid, kernel, step * s.dt, (step + take) * s.dt,
-                                      u_cur, w_cur, s.picard_tol, s.picard_max_iter,
-                                      start=_window_start("extrapolated", u_all, w_all,
-                                                          step, take))
-        u_all[step + 1:step + take + 1] = u_tr.values[1:]
-        w_all[step + 1:step + take + 1] = w_tr.values[1:]
-        u_cur, w_cur = u_tr.final(), w_tr.final()
+        _, u_win, w_win, _ = picard_window(s, grid, kernel, step * s.dt,
+                                           (step + take) * s.dt, u_all[step], w_all[step],
+                                           start=_window_start(u_all, w_all, step, take))
+        u_all[step + 1:step + take + 1] = u_win[1:]
+        w_all[step + 1:step + take + 1] = w_win[1:]
     return u_all, w_all
 
 
@@ -209,34 +230,32 @@ class TestWindowSettled:
 
 class TestPicardWindow:
     def test_zero_scenario_single_iteration(self):
-        s = make_scenario(**ZERO_SCENARIO)
+        s = make_scenario(**ZERO_SCENARIO, picard_tol=1e-8, picard_max_iter=5)
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
-        u0, w0 = s.initial_fields(grid)
-        u_tr, w_tr, wlog = picard_window(s, grid, kernel, 0.0, 0.05, u0, w0,
-                                         tol=1e-8, max_iter=5)
+        u0, w0 = initial_states(s, grid)
+        _, u_win, w_win, wlog = picard_window(s, grid, kernel, 0.0, 0.05, u0, w0)
         assert wlog.iterations == 1
-        assert all(np.all(v == 0.0) for v in u_tr.values)
+        assert all(np.all(v == 0.0) for v in u_win)
 
     def test_decoupled_constant_coefficients_two_iterations(self):
         s = make_scenario(alpha=ex.parse("0.2", ex.Slot.ALPHA),
                           beta=ex.parse("-0.5", ex.Slot.BETA),
-                          kappa=0.0)
+                          kappa=0.0, picard_tol=1e-8, picard_max_iter=5)
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
-        u0, w0 = s.initial_fields(grid)
-        _, _, wlog = picard_window(s, grid, kernel, 0.0, 0.1, u0, w0,
-                                   tol=1e-8, max_iter=5)
+        u0, w0 = initial_states(s, grid)
+        _, _, _, wlog = picard_window(s, grid, kernel, 0.0, 0.1, u0, w0)
         assert wlog.iterations == 2
         assert wlog.diffs[1] < 1e-12
 
     def test_no_contraction_raised_on_budget(self):
-        s = make_scenario()
+        s = replace(make_scenario(), picard_tol=1e-30, picard_max_iter=2)
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
-        u0, w0 = s.initial_fields(grid)
+        u0, w0 = initial_states(s, grid)
         with pytest.raises(NoContraction):
-            picard_window(s, grid, kernel, 0.0, 0.2, u0, w0, tol=1e-30, max_iter=2)
+            picard_window(s, grid, kernel, 0.0, 0.2, u0, w0)
 
 
 class TestSolveCoupled:
@@ -276,7 +295,7 @@ class TestSolveCoupled:
         grid = s.grid()
         kernel = make_kernel(s.ell, grid)
         trace = solve_coupled(s)
-        u0, w0 = s.initial_fields(grid)
+        u0, w0 = initial_states(s, grid)
         b_series = partial(ex.sample_stack, s.b, grid)
         B_series = partial(ex.sample_stack, s.beta, grid)
         w_ref = solve_parabolic(ParabolicProblem(grid, s.mu, B_series, b_series, w0),
@@ -289,24 +308,19 @@ class TestSolveCoupled:
                                  s.horizon, s.dt)
         for i, t in enumerate(trace.times):
             j = int(round(t / s.dt))
-            dw = norm_l1(Field(grid, trace.w.values[i] - w_ref.values[j]))
-            du = norm_l1(Field(grid, trace.u.values[i] - u_ref.values[j]))
+            dw = l1_norms(trace.w.values[i] - w_ref.values[j], grid)
+            du = l1_norms(trace.u.values[i] - u_ref.values[j], grid)
             assert dw < 1e-8
             assert du < 1e-8
 
-    def test_uniqueness_across_initial_iterates(self):
+    def test_uniqueness_across_initial_iterates(self, monkeypatch):
         for scheme in ("implicit_euler", "crank_nicolson"):
             s = make_scenario(horizon=0.1, parabolic_scheme=scheme)
-            traces = [solve_coupled(s, initial_iterate=start)
+            traces = [solve_from(monkeypatch, s, start)
                       for start in ("datum", "zero", "extrapolated")]
             for t1, t2 in zip(traces, traces[1:] + traces[:1]):
-                dist = max(
-                    norm_l1(Field(t1.grid, a - b))
-                    for a, b in zip(t1.u.values, t2.u.values)
-                ) + max(
-                    norm_l1(Field(t1.grid, a - b))
-                    for a, b in zip(t1.w.values, t2.w.values)
-                )
+                dist = (np.max(l1_norms(t1.u.values - t2.u.values, t1.grid))
+                        + np.max(l1_norms(t1.w.values - t2.w.values, t1.grid)))
                 assert dist < 2 * s.picard_tol, scheme
 
     def test_window_collapse_on_hopeless_tolerance(self):
@@ -314,11 +328,7 @@ class TestSolveCoupled:
         with pytest.raises(WindowCollapse):
             solve_coupled(s)
 
-    def test_unknown_initial_iterate_rejected(self):
-        with pytest.raises(ValueError, match="unknown initial iterate"):
-            solve_coupled(make_scenario(), initial_iterate="previous")
-
-    def test_shipped_scenario_iterations(self):
+    def test_shipped_scenario_iterations(self, monkeypatch):
         # the quartic prediction and the w-first sweep settle fast enough for
         # the windows to grow: 7 windows and 17 iterations, where 25 floored
         # four-step windows take 51; the datum start needs 3 iterations in
@@ -329,7 +339,7 @@ class TestSolveCoupled:
         assert len(trace.window_logs) == 7
         assert all(wl.converged for wl in trace.window_logs)
         assert sum(wl.iterations for wl in trace.window_logs) <= 17
-        datum = solve_coupled(s, "datum").window_logs
+        datum = solve_from(monkeypatch, s, "datum").window_logs
         assert len(datum) == 25
         assert sum(wl.iterations for wl in datum) == 75
 
@@ -433,9 +443,9 @@ class TestSolveCoupled:
         steps = [wl.steps for wl in trace.window_logs]
         assert steps[0] == 8 and steps[failed] == 4
         # the first window's one-row history predicts the datum held constant
-        for first, datum in zip(calls[0], s.initial_fields(s.grid())):
+        for first, datum in zip(calls[0], initial_states(s, s.grid())):
             assert first.shape[0] == 9
-            assert all(row.tobytes() == datum.values.tobytes() for row in first)
+            assert all(row.tobytes() == datum.tobytes() for row in first)
         for full, halved in zip(calls[failed], calls[failed + 1]):
             assert full.shape[0] == 9 and halved.shape[0] == 5
             assert np.array_equal(halved, full[:5])

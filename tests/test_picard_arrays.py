@@ -25,11 +25,11 @@ from predprey import parabolic, transport
 from predprey.coupling import (NoContraction, Scenario, WindowLog, extrapolate_window,
                                picard_window, sample_keyed, solve_coupled, window_settled)
 from predprey.grid import (DomainSpec, Field, GridError, VectorField, build_grid, l1_norms,
-                           norm_l1, require_finite, zeros)
+                           require_finite)
 from predprey.parabolic import (ParabolicProblem, Scheme, StiffReaction, solve_parabolic,
                                 step_parabolic)
 from predprey.scenario_io import load_scenario
-from predprey.series import Trace, constant, step_times
+from predprey.series import constant, step_times
 from predprey.transport import CflViolation, TransportProblem, fv_upwind_step, solve_hyperbolic
 from predprey.velocity import drift_velocity, make_kernel, velocity
 
@@ -66,6 +66,12 @@ SQUARE = dict(
 )
 
 
+def initial_states(s, grid):
+    """The scenario's initial u and w, each of shape grid.shape."""
+    return (sample_keyed(s.u0, "initial.u0", grid, [0.0])[0],
+            sample_keyed(s.w0, "initial.w0", grid, [0.0])[0])
+
+
 class Snapshots:
     """Snapshot series of the slow path: one Field or VectorField per time."""
 
@@ -93,9 +99,11 @@ class Snapshots:
 def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
     """Picard iteration on [t0, t1], one Field per step; returns (u, w, diffs).
 
-    ``start`` is the first iterate as a pair of (n_steps+1, *grid.shape)
-    stacks; by default the datum held constant.
+    ``u_init`` and ``w_init`` are the states at t0 as arrays.  ``start`` is
+    the first iterate as a pair of (n_steps+1, *grid.shape) stacks; by
+    default the datum held constant.
     """
+    u_init, w_init = Field(grid, u_init), Field(grid, w_init)
     span = t1 - t0
     times = t0 + s.dt * np.arange(int(round(span / s.dt)) + 1)
     steps = step_times(span, s.dt, t0)
@@ -128,7 +136,7 @@ def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
             u_next.append(fv_upwind_step(u_next[-1], c.at(t), A.at(t),
                                          ex.sample_field(s.a, grid, t), dt_k))
         diffs.append(max(
-            norm_l1(Field(grid, un.values - up.values)) + norm_l1(Field(grid, wn.values - wp.values))
+            float(l1_norms(un.values - up.values, grid) + l1_norms(wn.values - wp.values, grid))
             for un, up, wn, wp in zip(u_next, u_prev, w_next, w_prev)
         ))
         u_prev, w_prev = u_next, w_next
@@ -137,11 +145,11 @@ def oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start=None):
     raise AssertionError("oracle window did not settle")
 
 
-def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter, start=None):
+def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, start=None):
     """picard_window in the Jacobi order: c, alpha and beta all frozen on the
     previous iterate, then both species marched."""
     times = step_times(t1 - t0, scenario.dt, t0)
-    u_start, w_start = (u_init.values, w_init.values) if start is None else start
+    u_start, w_start = (u_init, w_init) if start is None else start
     stacked = (len(times),) + grid.shape
     u_prev = np.broadcast_to(u_start, stacked)
     w_prev = np.broadcast_to(w_start, stacked)
@@ -152,21 +160,21 @@ def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter,
     b = sample_keyed(scenario.b, "coefficients.b", grid,
                      parabolic.coefficient_times(times, kind))
     diffs = []
-    for _ in range(max_iter):
+    for _ in range(scenario.picard_max_iter):
         c = drift_velocity(w_prev, kernel, scenario.kappa, scenario.attract)
         A = sample_keyed(scenario.alpha, "coefficients.alpha", grid, times, w=w_prev)
         B = sample_keyed(scenario.beta, "coefficients.beta", grid, times, u=u_prev, w=w_prev)
-        u_next = transport.march_upwind(u_init.values, c[:-1], A[:-1], a, u_dts, grid)
-        w_next = parabolic.march_imex(w_init.values, parabolic.coefficient_rows(times, B, kind),
+        u_next = transport.march_upwind(u_init, c[:-1], A[:-1], a, u_dts, grid)
+        w_next = parabolic.march_imex(w_init, parabolic.coefficient_rows(times, B, kind),
                                       b, w_dts, scenario.mu, kind, grid)
         require_finite(u_next)
         require_finite(w_next)
         diffs.append(float(np.max(l1_norms(u_next - u_prev, grid)
                                   + l1_norms(w_next - w_prev, grid))))
         u_prev, w_prev = u_next, w_next
-        stop = window_settled(diffs, tol)
+        stop = window_settled(diffs, scenario.picard_tol)
         if stop:
-            return (Trace(grid, times, u_next), Trace(grid, times, w_next),
+            return (times, u_next, w_next,
                     WindowLog(t0, t1, len(times) - 1, tuple(diffs), True, stop))
     raise NoContraction("jacobi window did not settle")
 
@@ -180,18 +188,18 @@ def jacobi_window(scenario, grid, kernel, t0, t1, u_init, w_init, tol, max_iter,
 WINDOW_ATOL_1D = 1e-15
 
 
-def assert_window_matches(grid, u_tr, w_tr, wlog, u_ref, w_ref, diffs):
+def assert_window_matches(grid, u_win, w_win, wlog, u_ref, w_ref, diffs):
     u_ref = np.stack([f.values for f in u_ref])
     w_ref = np.stack([f.values for f in w_ref])
     if grid.dim == 2:
         assert wlog.diffs == tuple(diffs)
-        assert np.array_equal(u_tr.values, u_ref)
-        assert np.array_equal(w_tr.values, w_ref)
+        assert np.array_equal(u_win, u_ref)
+        assert np.array_equal(w_win, w_ref)
         return
     assert len(wlog.diffs) == len(diffs)
     assert np.max(np.abs(np.subtract(wlog.diffs, diffs))) <= WINDOW_ATOL_1D
-    assert np.max(np.abs(u_tr.values - u_ref)) <= WINDOW_ATOL_1D
-    assert np.max(np.abs(w_tr.values - w_ref)) <= WINDOW_ATOL_1D
+    assert np.max(np.abs(u_win - u_ref)) <= WINDOW_ATOL_1D
+    assert np.max(np.abs(w_win - w_ref)) <= WINDOW_ATOL_1D
 
 
 CASES = dict(argnames="extra", argvalues=[
@@ -207,14 +215,13 @@ def test_array_window_matches_field_loop_bit_for_bit(extra):
     s = make_scenario(**extra)
     grid = s.grid()
     kernel = make_kernel(s.ell, grid)
-    u0, w0 = s.initial_fields(grid)
+    u0, w0 = initial_states(s, grid)
     # a window off the origin, so the step times carry rounding
     t0, t1 = 7 * s.dt, 15 * s.dt
     u_ref, w_ref, diffs = oracle_window(s, grid, kernel, t0, t1, u0, w0)
-    u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u0, w0,
-                                     s.picard_tol, s.picard_max_iter)
+    _, u_win, w_win, wlog = picard_window(s, grid, kernel, t0, t1, u0, w0)
     assert len(diffs) > 1
-    assert_window_matches(grid, u_tr, w_tr, wlog, u_ref, w_ref, diffs)
+    assert_window_matches(grid, u_win, w_win, wlog, u_ref, w_ref, diffs)
 
 
 @pytest.mark.parametrize(**CASES)
@@ -225,23 +232,22 @@ def test_predicted_start_matches_field_loop_bit_for_bit(extra):
     s = make_scenario(**extra)
     grid = s.grid()
     kernel = make_kernel(s.ell, grid)
-    u0, w0 = s.initial_fields(grid)
+    u0, w0 = initial_states(s, grid)
     t0, t1 = 7 * s.dt, 15 * s.dt
-    u_first, w_first, _ = picard_window(s, grid, kernel, 0.0, t0, u0, w0,
-                                        s.picard_tol, s.picard_max_iter)
-    u_init, w_init = u_first.final(), w_first.final()
+    _, u_first, w_first, _ = picard_window(s, grid, kernel, 0.0, t0, u0, w0)
+    u_init, w_init = u_first[-1], w_first[-1]
     _, _, datum_diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init)
     for rows in (3, 5):
-        start = (extrapolate_window(u_first.values[-rows:], 8),
-                 extrapolate_window(w_first.values[-rows:], 8))
+        start = (extrapolate_window(u_first[-rows:], 8),
+                 extrapolate_window(w_first[-rows:], 8))
         u_ref, w_ref, diffs = oracle_window(s, grid, kernel, t0, t1, u_init, w_init, start)
-        u_tr, w_tr, wlog = picard_window(s, grid, kernel, t0, t1, u_init, w_init,
-                                         s.picard_tol, s.picard_max_iter, start=start)
+        _, u_win, w_win, wlog = picard_window(s, grid, kernel, t0, t1, u_init, w_init,
+                                              start=start)
         if rows == 3:
             # the quartic start may settle in one iteration; the quadratic
             # one exercises the iterate handover
             assert len(diffs) > 1
-        assert_window_matches(grid, u_tr, w_tr, wlog, u_ref, w_ref, diffs)
+        assert_window_matches(grid, u_win, w_win, wlog, u_ref, w_ref, diffs)
         # the prediction starts closer to the fixed point than the datum does
         assert diffs[0] < datum_diffs[0]
 
@@ -252,14 +258,14 @@ def test_sweep_matches_jacobi_window(extra):
     s = make_scenario(**extra)
     grid = s.grid()
     kernel = make_kernel(s.ell, grid)
-    u0, w0 = s.initial_fields(grid)
+    u0, w0 = initial_states(s, grid)
     t0, t1 = 7 * s.dt, 15 * s.dt
-    args = (s, grid, kernel, t0, t1, u0, w0, s.picard_tol, s.picard_max_iter)
-    u_ref, w_ref, jacobi = jacobi_window(*args)
-    u_tr, w_tr, sweep = picard_window(*args)
+    args = (s, grid, kernel, t0, t1, u0, w0)
+    _, u_ref, w_ref, jacobi = jacobi_window(*args)
+    _, u_win, w_win, sweep = picard_window(*args)
     assert sweep.iterations < jacobi.iterations
-    assert np.max(np.abs(u_tr.values - u_ref.values)) <= 1e3 * s.picard_tol
-    assert np.max(np.abs(w_tr.values - w_ref.values)) <= 1e3 * s.picard_tol
+    assert np.max(np.abs(u_win - u_ref)) <= 1e3 * s.picard_tol
+    assert np.max(np.abs(w_win - w_ref)) <= 1e3 * s.picard_tol
 
 
 def test_sweep_matches_jacobi_solve_on_shipped_long_horizon(monkeypatch):
@@ -278,20 +284,20 @@ def test_array_march_raises_cfl_violation():
     g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
     fast = constant(np.full((1, 32), 100.0))
     with pytest.raises(CflViolation):
-        solve_hyperbolic(TransportProblem(g, fast, None, None, zeros(g)), 0.05, 0.01)
+        solve_hyperbolic(TransportProblem(g, fast, None, None, np.zeros(g.shape)), 0.05, 0.01)
 
 
 def test_array_march_raises_stiff_reaction():
     g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
     stiff = constant(np.full(32, 200.0))
-    problem = ParabolicProblem(g, 0.1, stiff, None, zeros(g))
+    problem = ParabolicProblem(g, 0.1, stiff, None, np.zeros(g.shape))
     with pytest.raises(StiffReaction):
         solve_parabolic(problem, 0.05, Scheme("implicit_euler", 0.01))
 
 
 def test_array_march_rejects_nonfinite_output():
     g = build_grid(DomainSpec(((0.0, 1.0),)), 32)
-    huge = Field(g, np.full(32, 1e300))
+    huge = np.full(32, 1e300)
     still = constant(np.zeros((1, 32)))
     growth = constant(np.full(32, 1e10))
     with pytest.raises(GridError, match="non-finite"):
@@ -301,10 +307,9 @@ def test_array_march_rejects_nonfinite_output():
 def test_window_freeze_error_carries_alpha_key_path():
     s = make_scenario(alpha=ex.parse("1/w", ex.Slot.ALPHA), w0=ex.parse("0", ex.Slot.INIT))
     grid = s.grid()
-    u0, w0 = s.initial_fields(grid)
+    u0, w0 = initial_states(s, grid)
     with pytest.raises(ex.NonFiniteValue, match=r"\[coefficients\.alpha\]"):
-        picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0,
-                      s.picard_tol, s.picard_max_iter)
+        picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0)
 
 
 @pytest.mark.parametrize("overrides,error,match", [
@@ -317,7 +322,6 @@ def test_window_march_errors(overrides, error, match):
     # finiteness check must still stop it
     s = make_scenario(**overrides)
     grid = s.grid()
-    u0, w0 = s.initial_fields(grid)
+    u0, w0 = initial_states(s, grid)
     with pytest.raises(error, match=match):
-        picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0,
-                      s.picard_tol, s.picard_max_iter)
+        picard_window(s, grid, make_kernel(s.ell, grid), 0.0, 0.02, u0, w0)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from predprey.calibration import TV_CONST_HYPERBOLIC, TV_CONST_PARABOLIC
-from predprey.grid import (DomainSpec, Field, build_grid, divergences, l1_norms,
-                           linf_norms, norm_l1, norm_linf, total_variation,
+from predprey.grid import (DomainSpec, build_grid, divergences, l1_norms, linf_norms,
                            total_variations)
 from predprey.parabolic import (ParabolicProblem, Scheme, check_parabolic_bounds,
                                 parabolic_stability_experiment, solve_parabolic)
@@ -80,7 +79,7 @@ def stability_in_A_oracle(problem1, problem2, T, dt):
     worst_rate = np.maximum(np.maximum.accumulate(linf_norms(A1, grid)),
                             np.maximum.accumulate(linf_norms(A2, grid)))
     rhs = (np.exp(elapsed * worst_rate)
-           * (norm_linf(problem1.u0) + cumulative_left_riemann(a_sup, times))
+           * (linf_norms(problem1.u0, grid) + cumulative_left_riemann(a_sup, times))
            * cumulative_left_riemann(dA, times))
     return grade("u_stability_in_A", times, lhs, rhs)
 
@@ -102,8 +101,8 @@ def stability_in_c_oracle(problem1, problem2, T, dt):
     dxc1_sup = _sup_jacobian(c1, grid)
     graddiv1_l1 = _grad_div_l1(divergences(c1, grid), grid)
     elapsed = times - times[0]
-    u0_l1, u0_sup = norm_l1(problem1.u0), norm_linf(problem1.u0)
-    u0_tv = total_variation(problem1.u0)
+    u0_l1, u0_sup = l1_norms(problem1.u0, grid), linf_norms(problem1.u0, grid)
+    u0_tv = total_variations(problem1.u0, grid)
     int_a_l1 = cumulative_left_riemann(a_l1, times)
     int_a_sup = cumulative_left_riemann(a_sup, times)
     term1 = ((u0_l1 + int_a_l1) * np.exp(np.maximum.accumulate(A_sup) * elapsed)
@@ -129,9 +128,9 @@ def parabolic_bounds_oracle(trace, problem):
     int_b_sup = cumulative_left_riemann(b_sup, times)
     int_b_tv = cumulative_left_riemann(b_tv, times)
     growth = np.exp(int_B)
-    w0_l1 = norm_l1(problem.w0)
-    w0_sup = norm_linf(problem.w0)
-    w0_tv = total_variation(problem.w0)
+    w0_l1 = l1_norms(problem.w0, grid)
+    w0_sup = linf_norms(problem.w0, grid)
+    w0_tv = total_variations(problem.w0, grid)
     rhs_l1 = (w0_l1 + int_b_l1) * growth
     rhs_sup = (w0_sup + int_b_sup) * growth
     elapsed = times - t0
@@ -159,8 +158,8 @@ def parabolic_stability_oracle(problem1, problem2, T, scheme):
     int_dB = cumulative_left_riemann(l1_norms(B1 - B2, grid), times)
     int_db = cumulative_left_riemann(l1_norms(b1 - b2, grid), times)
     int_b2_sup = cumulative_left_riemann(linf_norms(b2, grid), times)
-    dw0 = norm_l1(Field(grid, problem1.w0.values - problem2.w0.values))
-    w02_sup = norm_linf(problem2.w0)
+    dw0 = l1_norms(problem1.w0 - problem2.w0, grid)
+    w02_sup = linf_norms(problem2.w0, grid)
     rhs = ((dw0 + int_db) * np.exp(int_B1)
            + int_dB * (w02_sup + int_b2_sup) * np.exp(int_B12))
     return grade("w_stability", times, lhs, rhs)
@@ -188,7 +187,7 @@ def _velocity(grid, speed):
 
 def _bump(grid, center):
     mesh = grid.centers()
-    return Field(grid, sum(np.exp(-30.0 * (m - center) ** 2) for m in mesh) / grid.dim)
+    return sum(np.exp(-30.0 * (m - center) ** 2) for m in mesh) / grid.dim
 
 
 def _transport(dims, coefficients, speed=0.3, reaction=0.5, shift=0.0):
@@ -196,7 +195,7 @@ def _transport(dims, coefficients, speed=0.3, reaction=0.5, shift=0.0):
     if coefficients == "none":
         return TransportProblem(grid, constant(np.zeros((grid.dim,) + grid.shape)),
                                 None, None, _bump(grid, 0.4))
-    source = constant(0.2 + 0.1 * _bump(grid, 0.6).values)  # a stride-0 stack
+    source = constant(0.2 + 0.1 * _bump(grid, 0.6))  # a stride-0 stack
     return TransportProblem(grid, _velocity(grid, speed), _varying(grid, shift, reaction),
                             source, _bump(grid, 0.4))
 

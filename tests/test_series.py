@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from predprey.grid import DomainSpec, Field, build_grid
+from predprey.grid import DomainSpec, build_grid
 from predprey.parabolic import (ParabolicProblem, Scheme, solve_parabolic,
                                 weak_residual_parabolic)
 from predprey.series import at_times, constant, cumulative_simpson, grade, sampled
@@ -181,7 +181,7 @@ def parabolic_residual_loop(trace, problem, test_functions):
             term += qt * np.sum(react * s_vals)
             integrand[i] = term * vol
         space_time = integrate.simpson(integrand, x=times)
-        initial = float(tf.time_value(times[0])) * np.sum(problem.w0.values * s_vals) * vol
+        initial = float(tf.time_value(times[0])) * np.sum(problem.w0 * s_vals) * vol
         residuals.append(space_time + initial)
     return np.array(residuals)
 
@@ -206,7 +206,7 @@ def _space_time(grid, scale, shift):
 
 def _bump_field(grid, center):
     mesh = grid.centers()
-    return Field(grid, sum(np.exp(-30.0 * (m - center) ** 2) for m in mesh) / grid.dim)
+    return sum(np.exp(-30.0 * (m - center) ** 2) for m in mesh) / grid.dim
 
 
 def _assert_residuals_match(new, old, trace, family):
@@ -235,7 +235,7 @@ def test_hyperbolic_residual_matches_the_loop(dims, steps, coefficients):
     c = lambda times: (1.0 - np.asarray(times)).reshape((-1,) + (1,) * (grid.dim + 1)) * comps
     with_A, with_a = COEFFICIENT_SETS[coefficients]
     prob = TransportProblem(grid, c, _space_time(grid, 0.5, 0.0) if with_A else None,
-                            constant(0.2 + 0.1 * _bump_field(grid, 0.6).values) if with_a
+                            constant(0.2 + 0.1 * _bump_field(grid, 0.6)) if with_a
                             else None, _bump_field(grid, 0.4))
     trace = solve_hyperbolic(prob, 0.1, STEPS[steps])
     family = default_family(0.1, grid.dim)
